@@ -390,8 +390,9 @@ void CountedComparison() {
       "striping on this metric because these runs are unarmed: per-block\n"
       "streamed writes charge one step per B-byte block on independent\n"
       "disks vs one step per D*B logical block when striped. Armed\n"
-      "(grouped) write-behind closes that gap through AccountWriteBatch —\n"
-      "one step per wave of distinct disks — see the wall-clock rows.\n\n");
+      "(grouped) write-behind closes that gap through an id-aware Account\n"
+      "charge — one step per wave of distinct disks — see the wall-clock\n"
+      "rows.\n\n");
 }
 
 // ---------------------------------------------- degraded-mode smoke

@@ -321,7 +321,7 @@ class ExtVector {
     }
 
     /// Hand the staged group to the device as one vectored write. Blocks
-    /// are allocated and charged here via AccountWriteBatch — the
+    /// are allocated and charged here via an id-aware Account — the
     /// identical totals the device's counted WriteBatch of this group
     /// would record (wave-packed parallel steps on independent disks) —
     /// in one syscall and (with an engine) off the caller's critical
@@ -383,7 +383,7 @@ class ExtVector {
           VEM_RETURN_IF_ERROR(
               dev->WriteBatchUncounted(g.ids.data(), g.ptrs.data(), nblks));
         }
-        dev->AccountWriteBatch(g.ids.data(), nblks);
+        dev->Account(/*write=*/true, g.ids.data(), nblks);
         if (!final_flush) {
           ApplyLeaseDepth();
           if (g.cap != depth_) {
@@ -426,7 +426,8 @@ class ExtVector {
       if (s.ok() && pending_charge_[i] > 0) {
         // g.ids still holds exactly this flight's ids (reused only
         // after the next FlushGroup resizes it).
-        vec_->dev_->AccountWriteBatch(g.ids.data(), pending_charge_[i]);
+        vec_->dev_->Account(/*write=*/true, g.ids.data(),
+                            pending_charge_[i]);
       }
       pending_charge_[i] = 0;
       return s;
@@ -603,8 +604,8 @@ class ExtVector {
       if (!entered_valid_ || blk != entered_blk_) {
         // Id-aware: a per-block-placement device (independent disks)
         // routes the charge to the child that holds this block; the
-        // one-block batch charge is identical to a synchronous Read.
-        vec_->dev_->AccountReadBatch(&vec_->blocks_[blk], 1);
+        // one-id charge is identical to a synchronous Read.
+        vec_->dev_->Account(/*write=*/false, &vec_->blocks_[blk], 1);
         w.consumed++;
         entered_blk_ = blk;
         entered_valid_ = true;

@@ -12,11 +12,11 @@
 //  - the UNCOUNTED plane (*Uncounted) moves bytes without accounting.
 //    It exists for the async I/O engine: read-ahead/write-behind streams
 //    perform physical transfers early on engine threads, then charge the
-//    PDM cost via AccountReads/AccountWrites in the consuming thread at
-//    the moment the synchronous path would have done the I/O. Totals stay
-//    bit-identical whether overlap is on or off; speculative blocks that
-//    are never consumed are never charged (the PDM prices algorithmic
-//    accesses, not hardware prefetches).
+//    PDM cost via Account() in the consuming thread at the moment the
+//    synchronous path would have done the I/O. Totals stay bit-identical
+//    whether overlap is on or off; speculative blocks that are never
+//    consumed are never charged (the PDM prices algorithmic accesses,
+//    not hardware prefetches).
 #pragma once
 
 #include <cstdint>
@@ -165,65 +165,23 @@ class BlockDevice {
     return Status::OK();
   }
 
-  /// Charge deferred PDM cost for `blocks` transfers done on the uncounted
-  /// plane, as if each were a synchronous single-block op on this device.
-  /// Call from the consuming thread only (counters are not atomic).
-  /// Virtual so composite devices can mirror their synchronous counting:
-  /// StripedDevice charges each child plus one parallel step per logical
-  /// block, exactly what its counted Read/Write would have recorded.
-  virtual void AccountReads(uint64_t blocks) {
-    stats_.block_reads += blocks;
-    stats_.parallel_reads += blocks;
-    stats_.bytes_read += blocks * block_size();
-  }
-  virtual void AccountWrites(uint64_t blocks) {
-    stats_.block_writes += blocks;
-    stats_.parallel_writes += blocks;
-    stats_.bytes_written += blocks * block_size();
-  }
-
-  /// Id-aware deferred accounting. The id-less forms above cannot say
-  /// WHICH blocks moved, which is all a single disk or a striped device
-  /// needs (striping touches every child per logical block) — but a
-  /// device with per-block placement (IndependentDiskDevice) must route
-  /// each charge to the child that physically served it. Streams and the
-  /// buffer pool know the ids they consume, so they call these; defaults
-  /// fall through to the id-less forms, preserving every existing
-  /// device's counting.
+  /// Charge deferred PDM cost for `n` blocks moved on the uncounted
+  /// plane (`write` picks the side). The one deferred-accounting hook;
+  /// call it from the consuming thread only (counters are not atomic).
   ///
-  /// AccountReadBatch mirrors what the counted ReadBatch(ids, ., n) of
-  /// this device would have charged — on an independent-disk device that
-  /// is n block reads but only as many PDM parallel steps as the batch
-  /// needs waves of distinct disks (the forecast merge's win). A
-  /// one-block call is therefore always identical to the synchronous
-  /// single Read's charge, which is what per-block stream consumption
-  /// uses.
-  virtual void AccountReadBatch(const uint64_t* ids, uint64_t blocks) {
+  /// ids == nullptr: the id-less per-block charge — n transfers, n
+  /// parallel steps, as if each were a synchronous single-block op.
+  /// ids != nullptr: mirrors what this device's counted ReadBatch /
+  /// WriteBatch of those ids would have charged. On a single disk that
+  /// is the id-less charge; a device with per-block placement
+  /// (IndependentDiskDevice) routes each block to its child and charges
+  /// one parallel step per wave of distinct disks. A one-id call is
+  /// therefore always the synchronous single Read/Write's charge.
+  /// Wrappers forward to their inner device and charge themselves per
+  /// block, exactly like their counted path.
+  virtual void Account(bool write, const uint64_t* ids, uint64_t n) {
     (void)ids;
-    AccountReads(blocks);
-  }
-
-  /// AccountWriteIds mirrors the per-block Write loop (n blocks, n
-  /// steps) with child routing — the charge a per-block consumer (the
-  /// buffer pool's ghost flushes) must record to stay bit-identical
-  /// with its synchronous twin, which writes block by block.
-  virtual void AccountWriteIds(const uint64_t* ids, uint64_t blocks) {
-    (void)ids;
-    AccountWrites(blocks);
-  }
-
-  /// AccountWriteBatch mirrors what the counted WriteBatch(ids, ., n)
-  /// of this device would have charged — the write-side dual of
-  /// AccountReadBatch. On an independent-disk device that is n block
-  /// writes but one PDM parallel step per wave of distinct disks, so a
-  /// grouped write-behind stream (ExtVector::Writer flushes whole
-  /// K-block groups) is credited the scatter win randomized cycling
-  /// earns. Single-disk and striped devices charge exactly the id-less
-  /// form, so only devices with per-block placement diverge from the
-  /// per-block loop.
-  virtual void AccountWriteBatch(const uint64_t* ids, uint64_t blocks) {
-    (void)ids;
-    AccountWrites(blocks);
+    stats_.Charge(write, n, n, n * block_size());
   }
 
   /// Placement route of a block for the PrefetchGovernor: streams tag

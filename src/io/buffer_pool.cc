@@ -126,7 +126,7 @@ Status BufferPool::GhostVictim(size_t* out) {
     if (g.dirty) {
       // The baseline pool would have written this victim back here.
       // Id-aware so a per-block-placement device charges the right child.
-      dev_->AccountWriteIds(&g.block_id, 1);
+      dev_->Account(/*write=*/true, &g.block_id, 1);
       g.dirty = false;
     }
     ghost_table_.erase(g.block_id);
@@ -206,7 +206,7 @@ void BufferPool::GhostFlushId(uint64_t id) {
   GhostFrame& g = ghost_frames_[it->second];
   if (g.valid && g.dirty) {
     g.dirty = false;
-    dev_->AccountWriteIds(&g.block_id, 1);
+    dev_->Account(/*write=*/true, &g.block_id, 1);
   }
 }
 
@@ -244,7 +244,7 @@ Status BufferPool::Pin(uint64_t id, char** data) {
   };
   if (it != table_.end()) {
     // Physical hit: nothing can fail past here, settle the ghost read.
-    if (ghost_charge_read) dev_->AccountReadBatch(&id, 1);
+    if (ghost_charge_read) dev_->Account(/*write=*/false, &id, 1);
     Frame& f = frames_[it->second];
     if (f.pin_count == 0) pinned_count_++;
     f.pin_count++;
@@ -277,7 +277,7 @@ Status BufferPool::Pin(uint64_t id, char** data) {
     ghost_undo();
     return r;
   }
-  if (ghost_charge_read) dev_->AccountReadBatch(&id, 1);
+  if (ghost_charge_read) dev_->Account(/*write=*/false, &id, 1);
   f.block_id = id;
   f.pin_count = 1;
   f.dirty = false;
@@ -362,7 +362,7 @@ Status BufferPool::FlushAll() {
           it != table_.end() && frames_[it->second].dirty;
       if (!physically_dirty) {
         g.dirty = false;
-        dev_->AccountWriteIds(&g.block_id, 1);
+        dev_->Account(/*write=*/true, &g.block_id, 1);
       }
     }
   }

@@ -13,7 +13,7 @@
 // arbitration moves memory without ever moving the cost model, the pool
 // then charges IoStats by GHOST accounting: a directory of the pool's
 // *baseline* capacity replays every access with baseline CLOCK
-// replacement, and AccountReads/AccountWrites are issued exactly when
+// replacement, and deferred Account charges are issued exactly when
 // that fixed-size pool would have read or written — while the physical
 // transfers (which follow the resized pool's actual hits and misses)
 // ride the device's uncounted plane. IoStats are bit-identical with the

@@ -125,7 +125,7 @@ class FaultyBlockDevice final : public BlockDevice {
   /// immediately. Unlike transient schedules the retry plane cannot
   /// absorb this; RunWithDiskRetry escalates it to the engine as
   /// fail-stop evidence, and a redundancy-armed IndependentDiskDevice
-  /// serves the dead head's blocks by reconstruction. Deferred Account*
+  /// serves the dead head's blocks by reconstruction. Deferred Account
   /// charging still reaches a dead device — accounting moves no bytes.
   void SetDeadAfter(uint64_t attempts) { dead_after_ = attempts; }
 
@@ -181,27 +181,12 @@ class FaultyBlockDevice final : public BlockDevice {
   /// already durable by the time the barrier runs — that is the point).
   Status Sync() override { return inner_->Sync(); }
 
-  /// Deferred accounting reaches the inner device too: on the counted
-  /// plane inner_->Read/Write charge the inner stats per block, so the
-  /// uncounted-then-account path must leave them identical.
-  void AccountReads(uint64_t blocks) override {
-    inner_->AccountReads(blocks);
-    BlockDevice::AccountReads(blocks);
-  }
-  void AccountWrites(uint64_t blocks) override {
-    inner_->AccountWrites(blocks);
-    BlockDevice::AccountWrites(blocks);
-  }
-  /// Id-aware forms forward the ids to the inner device (which may route
-  /// them per disk) and charge this wrapper per block, exactly like its
-  /// counted Read/Write path does.
-  void AccountReadBatch(const uint64_t* ids, uint64_t blocks) override {
-    inner_->AccountReadBatch(ids, blocks);
-    BlockDevice::AccountReads(blocks);
-  }
-  void AccountWriteIds(const uint64_t* ids, uint64_t blocks) override {
-    inner_->AccountWriteIds(ids, blocks);
-    BlockDevice::AccountWrites(blocks);
+  /// Deferred accounting forwards the ids to the inner device (which
+  /// may route them per disk) and charges this wrapper per block —
+  /// exactly what the counted path records on both.
+  void Account(bool write, const uint64_t* ids, uint64_t n) override {
+    inner_->Account(write, ids, n);
+    BlockDevice::Account(write, nullptr, n);
   }
   uint64_t PrefetchRoute(uint64_t block_id) const override {
     return inner_->PrefetchRoute(block_id);

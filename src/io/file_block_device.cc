@@ -498,11 +498,7 @@ Status FileBlockDevice::VectoredTransfer(const uint64_t* ids,
       // disk moving blocks, not a parallel step; on a mid-run error only
       // the blocks that physically transferred are charged, exactly like
       // the equivalent loop.
-      if (write) {
-        AccountWrites(completed);
-      } else {
-        AccountReads(completed);
-      }
+      Account(write, nullptr, completed);
     }
     VEM_RETURN_IF_ERROR(s);
     i += len;
@@ -779,7 +775,7 @@ Status FileBlockDevice::VectoredTransferRing(IoRing* ring, const uint64_t* ids,
 
   // Pass 4: deliver direct-mode bounce reads, charge, and report. Charge
   // per run in batch order (counted plane only), exactly the sequential
-  // loop's per-run AccountWrites/AccountReads; the first failed run's
+  // loop's per-run id-less Account; the first failed run's
   // status wins, then the precheck error for the invalid tail.
   Status fail = Status::OK();
   for (RingRun& r : runs) {
@@ -793,11 +789,7 @@ Status FileBlockDevice::VectoredTransferRing(IoRing* ring, const uint64_t* ids,
       }
     }
     if (counted && r.completed_blocks > 0) {
-      if (write) {
-        AccountWrites(r.completed_blocks);
-      } else {
-        AccountReads(r.completed_blocks);
-      }
+      Account(write, nullptr, r.completed_blocks);
     }
     if (fail.ok() && !r.error.ok()) fail = r.error;
   }

@@ -476,7 +476,7 @@ Status IndependentDiskDevice::DegradedReadBlock(uint64_t id, const Loc& l,
   // its healthy synchronous read would have recorded, so per-child
   // IoStats stay bit-identical; the reconstruction's physical reads
   // already rode the gauge.
-  if (counted) disks_[l.disk]->AccountReads(1);
+  if (counted) disks_[l.disk]->Account(/*write=*/false, nullptr, 1);
   return Status::OK();
 }
 
@@ -519,9 +519,8 @@ Status IndependentDiskDevice::Read(uint64_t id, void* buf) {
     }
     VEM_RETURN_IF_ERROR(s);
   }
-  stats_.block_reads++;
-  stats_.parallel_reads++;  // one head moved: one PDM step
-  stats_.bytes_read += block_size_;
+  // One head moved: one PDM step.
+  stats_.Charge(/*write=*/false, 1, 1, block_size_);
   return Status::OK();
 }
 
@@ -529,9 +528,7 @@ Status IndependentDiskDevice::Write(uint64_t id, const void* buf) {
   if (RedundancyArmed()) {
     const void* one = buf;
     VEM_RETURN_IF_ERROR(FanOutWrite(&id, &one, 1, /*counted=*/true));
-    stats_.block_writes++;
-    stats_.parallel_writes++;
-    stats_.bytes_written += block_size_;
+    stats_.Charge(/*write=*/true, 1, 1, block_size_);
     return Status::OK();
   }
   Loc l;
@@ -546,9 +543,7 @@ Status IndependentDiskDevice::Write(uint64_t id, const void* buf) {
         retry_, engine_, reinterpret_cast<uintptr_t>(disk), l.child_id,
         [&] { return disk->Write(l.child_id, buf); }));
   }
-  stats_.block_writes++;
-  stats_.parallel_writes++;
-  stats_.bytes_written += block_size_;
+  stats_.Charge(/*write=*/true, 1, 1, block_size_);
   return Status::OK();
 }
 
@@ -732,7 +727,9 @@ Status IndependentDiskDevice::FanOutRead(const uint64_t* ids, void* const* bufs,
       const size_t nd = child_ids[d].size();
       if (counted) {
         const uint64_t landed = disks_[d]->stats().block_reads - before[d];
-        if (landed < nd) disks_[d]->AccountReads(nd - landed);
+        if (landed < nd) {
+          disks_[d]->Account(/*write=*/false, nullptr, nd - landed);
+        }
       }
       for (size_t k = 0; k < nd; ++k) {
         recon.push_back(
@@ -747,7 +744,7 @@ Status IndependentDiskDevice::FanOutRead(const uint64_t* ids, void* const* bufs,
     std::lock_guard<std::mutex> plock(parity_mu_);
     for (const Recon& r : recon) {
       VEM_RETURN_IF_ERROR(ReconstructLocked(r.id, r.buf));
-      if (r.charge) disks_[r.disk]->AccountReads(1);
+      if (r.charge) disks_[r.disk]->Account(/*write=*/false, nullptr, 1);
     }
   }
   return Status::OK();
@@ -857,7 +854,7 @@ Status IndependentDiskDevice::FanOutWrite(const uint64_t* ids,
   for (size_t i = 0; i < n; ++i) {
     const uint32_t d = locs[i].disk;
     if (DiskDead(d)) {
-      if (counted) disks_[d]->AccountWrites(1);
+      if (counted) disks_[d]->Account(/*write=*/true, nullptr, 1);
       g_degraded_writes_.fetch_add(1, std::memory_order_relaxed);
     } else {
       child_ids[d].push_back(locs[i].child_id);
@@ -904,7 +901,9 @@ Status IndependentDiskDevice::FanOutWrite(const uint64_t* ids,
       const size_t nd = child_ids[d].size();
       if (counted) {
         const uint64_t landed = disks_[d]->stats().block_writes - before[d];
-        if (landed < nd) disks_[d]->AccountWrites(nd - landed);
+        if (landed < nd) {
+          disks_[d]->Account(/*write=*/true, nullptr, nd - landed);
+        }
       }
       g_degraded_writes_.fetch_add(nd, std::memory_order_relaxed);
     } else if (first_err.ok()) {
@@ -951,10 +950,7 @@ Status IndependentDiskDevice::ReadBatch(const uint64_t* ids, void* const* bufs,
                                         size_t n) {
   if (n == 0) return Status::OK();
   VEM_RETURN_IF_ERROR(FanOutRead(ids, bufs, n, /*counted=*/true));
-  uint64_t waves = CountWaves(ids, n);
-  stats_.block_reads += n;
-  stats_.parallel_reads += waves;
-  stats_.bytes_read += n * block_size_;
+  stats_.Charge(/*write=*/false, n, CountWaves(ids, n), n * block_size_);
   return Status::OK();
 }
 
@@ -966,10 +962,7 @@ Status IndependentDiskDevice::WriteBatch(const uint64_t* ids,
   // counted, one parallel step per wave of distinct disks. Randomized
   // cycling makes any D consecutive allocations a full wave, so grouped
   // write-behind scatters at the same D-way rate forecast reads gather.
-  uint64_t waves = CountWaves(ids, n);
-  stats_.block_writes += n;
-  stats_.parallel_writes += waves;
-  stats_.bytes_written += n * block_size_;
+  stats_.Charge(/*write=*/true, n, CountWaves(ids, n), n * block_size_);
   return Status::OK();
 }
 
@@ -1046,97 +1039,33 @@ Status IndependentDiskDevice::WriteBatchUncounted(const uint64_t* ids,
   return FanOutWrite(ids, bufs, n, /*counted=*/false);
 }
 
-void IndependentDiskDevice::AccountReads(uint64_t blocks) {
-  // Id-less: sequential per-block semantics, parent only (see header).
-  stats_.block_reads += blocks;
-  stats_.parallel_reads += blocks;
-  stats_.bytes_read += blocks * block_size_;
-}
-
-void IndependentDiskDevice::AccountWrites(uint64_t blocks) {
-  stats_.block_writes += blocks;
-  stats_.parallel_writes += blocks;
-  stats_.bytes_written += blocks * block_size_;
-}
-
-void IndependentDiskDevice::AccountReadBatch(const uint64_t* ids,
-                                             uint64_t blocks) {
-  // One-block fast path: this is the hottest counting call in the repo
-  // (every armed stream charges each consumed block through here), and
-  // a single block is trivially one wave — skip CountWaves' scratch
-  // vector and second lock acquisition.
-  if (blocks == 1) {
+void IndependentDiskDevice::Account(bool write, const uint64_t* ids,
+                                    uint64_t n) {
+  // Id-less: sequential per-block steps, parent only (see header). With
+  // ids, mirror the counted ReadBatch/WriteBatch exactly: every block
+  // charged on its child (a child's counted batch charges one op per
+  // block, so per-block child charges match whatever grouping served
+  // them), wave-packed parallel steps on the parent.
+  uint64_t steps = n;
+  if (ids != nullptr && n == 1) {
+    // One-block fast path: the hottest counting call in the repo (every
+    // armed stream charges each consumed block here), and one block is
+    // trivially one wave — skip CountWaves' scratch vector and second
+    // lock acquisition.
     Loc l;
-    if (Lookup(ids[0], &l)) disks_[l.disk]->AccountReads(1);
-    stats_.block_reads++;
-    stats_.parallel_reads++;
-    stats_.bytes_read += block_size_;
-    return;
-  }
-  // Mirror the counted ReadBatch exactly: every block charged on its
-  // child, wave-packed parallel steps on the parent. A child's counted
-  // ReadBatch charges one read per block (single-disk accounting), so
-  // per-child AccountReads matches whatever grouping served them.
-  // CountWaves first: nested shared-lock acquisition could deadlock
-  // against a pending writer.
-  uint64_t waves = CountWaves(ids, blocks);
-  {
+    if (Lookup(ids[0], &l)) disks_[l.disk]->Account(write, nullptr, 1);
+  } else if (ids != nullptr) {
+    // CountWaves first: nested shared-lock acquisition could deadlock
+    // against a pending writer.
+    steps = CountWaves(ids, n);
     std::shared_lock<std::shared_mutex> lock(loc_mu_);
-    for (uint64_t i = 0; i < blocks; ++i) {
-      if (ids[i] < loc_.size()) disks_[loc_[ids[i]].disk]->AccountReads(1);
+    for (uint64_t i = 0; i < n; ++i) {
+      if (ids[i] < loc_.size()) {
+        disks_[loc_[ids[i]].disk]->Account(write, nullptr, 1);
+      }
     }
   }
-  stats_.block_reads += blocks;
-  stats_.parallel_reads += waves;
-  stats_.bytes_read += blocks * block_size_;
-}
-
-void IndependentDiskDevice::AccountWriteIds(const uint64_t* ids,
-                                            uint64_t blocks) {
-  if (blocks == 1) {
-    Loc l;
-    if (Lookup(ids[0], &l)) disks_[l.disk]->AccountWrites(1);
-    stats_.block_writes++;
-    stats_.parallel_writes++;
-    stats_.bytes_written += block_size_;
-    return;
-  }
-  {
-    std::shared_lock<std::shared_mutex> lock(loc_mu_);
-    for (uint64_t i = 0; i < blocks; ++i) {
-      if (ids[i] < loc_.size()) disks_[loc_[ids[i]].disk]->AccountWrites(1);
-    }
-  }
-  stats_.block_writes += blocks;
-  stats_.parallel_writes += blocks;
-  stats_.bytes_written += blocks * block_size_;
-}
-
-void IndependentDiskDevice::AccountWriteBatch(const uint64_t* ids,
-                                              uint64_t blocks) {
-  // Mirror of the counted WriteBatch, structured like AccountReadBatch:
-  // one-block fast path, then per-child charges under the shared lock
-  // with wave-packed parallel steps on the parent. CountWaves first —
-  // nested shared-lock acquisition could deadlock against a pending
-  // writer.
-  if (blocks == 1) {
-    Loc l;
-    if (Lookup(ids[0], &l)) disks_[l.disk]->AccountWrites(1);
-    stats_.block_writes++;
-    stats_.parallel_writes++;
-    stats_.bytes_written += block_size_;
-    return;
-  }
-  uint64_t waves = CountWaves(ids, blocks);
-  {
-    std::shared_lock<std::shared_mutex> lock(loc_mu_);
-    for (uint64_t i = 0; i < blocks; ++i) {
-      if (ids[i] < loc_.size()) disks_[loc_[ids[i]].disk]->AccountWrites(1);
-    }
-  }
-  stats_.block_writes += blocks;
-  stats_.parallel_writes += waves;
-  stats_.bytes_written += blocks * block_size_;
+  stats_.Charge(write, n, steps, n * block_size_);
 }
 
 Status IndependentDiskDevice::AttachSpare(std::unique_ptr<BlockDevice> spare) {

@@ -26,10 +26,8 @@
 //    the cost model prices algorithmic access patterns. The forecast
 //    merge (sort/forecast_merge.h) is the algorithmic side of the read
 //    bargain; grouped write-behind (ExtVector::Writer flushing whole
-//    K-block groups through WriteBatch / AccountWriteBatch) is the
-//    write side. The per-block AccountWriteIds form remains for
-//    consumers whose identity anchor is the block-by-block Write loop
-//    (the buffer pool's ghost flushes).
+//    K-block groups through WriteBatch, or the uncounted plane plus an
+//    id-aware Account) is the write side.
 //
 // Engine integration: every per-disk fan-out (counted batches and the
 // uncounted plane) is submitted as one job per disk, tagged with the
@@ -37,10 +35,9 @@
 // model one transfer per head — a slow disk delays only its own queue.
 //
 // Uncounted plane + deferred accounting: forwarded per child like
-// StripedDevice, with id-aware deferral (AccountReadBatch /
-// AccountWriteIds) routing each charge to the child that physically
-// served the block, so IoStats — parent and children — are bit-identical
-// with overlap on or off.
+// StripedDevice; an id-aware Account routes each charge to the child
+// that physically served the block, so IoStats — parent and children —
+// are bit-identical with overlap on or off.
 //
 // ---------------------------------------------------- redundancy plane
 //
@@ -71,7 +68,7 @@
 // deliberately IGNORES quarantine (unlike the kNone divert below), so
 // the allocation sequence — and thus every wave count — cannot depend
 // on when a head died; degraded paths charge the home child through
-// its Account* plane exactly as the healthy transfer would have. All
+// its Account hook exactly as the healthy transfer would have. All
 // physical redundancy traffic (parity RMW, mirror copies,
 // reconstruction reads, rebuild drains) rides RedundancyStats, a gauge
 // as separate from IoStats as the retry plane's.
@@ -155,15 +152,12 @@ class IndependentDiskDevice final : public BlockDevice {
   Status WriteBatchUncounted(const uint64_t* ids, const void* const* bufs,
                              size_t n) override;
 
-  /// Id-less deferred accounting charges this device only (sequential
-  /// per-block semantics); it cannot know which child served the block.
-  /// Every stream/pool path in the repo uses the id-aware forms below,
-  /// which route the charge to the owning child as well.
-  void AccountReads(uint64_t blocks) override;
-  void AccountWrites(uint64_t blocks) override;
-  void AccountReadBatch(const uint64_t* ids, uint64_t blocks) override;
-  void AccountWriteIds(const uint64_t* ids, uint64_t blocks) override;
-  void AccountWriteBatch(const uint64_t* ids, uint64_t blocks) override;
+  /// With ids, charges each block on its child and one parallel step
+  /// per wave of distinct disks — the counted ReadBatch/WriteBatch's
+  /// charge. Id-less, it charges this device only (sequential per-block
+  /// steps): it cannot know which child served the block, so every
+  /// stream/pool path passes ids.
+  void Account(bool write, const uint64_t* ids, uint64_t n) override;
 
   /// Forwards the engine to every child (children execute the physical
   /// transfers, so the child is what picks the submission transport) and

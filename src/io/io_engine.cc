@@ -255,19 +255,14 @@ size_t IoEngine::busy_workers() const {
   return busy_workers_;
 }
 
-bool IoEngine::saturated() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return busy_workers_ >= workers_.size() && queued_count_ > 0;
-}
-
 double IoEngine::HeadroomLocked() const {
   const size_t w = workers_.size();
   if (busy_workers_ < w) {
     return static_cast<double>(w - busy_workers_) / static_cast<double>(w);
   }
-  // Every worker busy: zero headroom once a backlog queues (the old
-  // saturated() bit), a small floor otherwise — the next submit waits,
-  // but only for one job's tail.
+  // Every worker busy: zero headroom once a backlog queues (saturated),
+  // a small floor otherwise — the next submit waits, but only for one
+  // job's tail.
   return queued_count_ > 0 ? 0.0 : 1.0 / static_cast<double>(1 + w);
 }
 

@@ -213,15 +213,11 @@ class IoEngine : public DepthGauge {
   size_t queued_jobs() const;
   /// Workers currently executing a job.
   size_t busy_workers() const;
-  /// True when every worker is busy AND a backlog is pending: submitting
-  /// more background work only deepens the queues. Equivalent to
-  /// Headroom() == 0 — kept as the legacy boolean view of the gauge.
-  bool saturated() const;
-
   /// Whole-engine submission headroom in [0, 1]: the free-worker
-  /// fraction, 0.0 exactly when saturated() (all busy + backlog), and a
-  /// small nonzero floor when all workers are busy but nothing queues
-  /// (the next submit waits, briefly).
+  /// fraction, 0.0 exactly when the engine is saturated (every worker
+  /// busy AND a backlog pending: more background work only deepens the
+  /// queues), and a small nonzero floor when all workers are busy but
+  /// nothing queues (the next submit waits, briefly).
   double Headroom() const;
 
   /// Queue depth of one disk tag: jobs queued plus in flight. 0 for an

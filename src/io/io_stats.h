@@ -27,6 +27,20 @@ struct IoStats {
 
   void Reset() { *this = IoStats{}; }
 
+  /// One read (`write` false) or write charge: `blocks` physical
+  /// transfers carrying `bytes`, moved in `steps` PDM parallel steps.
+  void Charge(bool write, uint64_t blocks, uint64_t steps, uint64_t bytes) {
+    if (write) {
+      block_writes += blocks;
+      parallel_writes += steps;
+      bytes_written += bytes;
+    } else {
+      block_reads += blocks;
+      parallel_reads += steps;
+      bytes_read += bytes;
+    }
+  }
+
   /// Exact equality across every counter — the contract asserted by the
   /// async-vs-sync identity tests (prefetching must not change the cost).
   bool operator==(const IoStats&) const = default;

@@ -125,18 +125,10 @@ Status StripedDevice::WriteBatchUncounted(const uint64_t* ids,
                         /*write=*/true);
 }
 
-void StripedDevice::AccountReads(uint64_t blocks) {
-  for (auto& disk : disks_) disk->AccountReads(blocks);
-  stats_.block_reads += blocks * disks_.size();
-  stats_.parallel_reads += blocks;
-  stats_.bytes_read += blocks * logical_block_size_;
-}
-
-void StripedDevice::AccountWrites(uint64_t blocks) {
-  for (auto& disk : disks_) disk->AccountWrites(blocks);
-  stats_.block_writes += blocks * disks_.size();
-  stats_.parallel_writes += blocks;
-  stats_.bytes_written += blocks * logical_block_size_;
+void StripedDevice::Account(bool write, const uint64_t* ids, uint64_t n) {
+  (void)ids;
+  for (auto& disk : disks_) disk->Account(write, nullptr, n);
+  stats_.Charge(write, n * disks_.size(), n, n * logical_block_size_);
 }
 
 Status StripedDevice::Read(uint64_t id, void* buf) {
@@ -144,9 +136,8 @@ Status StripedDevice::Read(uint64_t id, void* buf) {
   VEM_RETURN_IF_ERROR(ParallelStep([&](size_t d) {
     return disks_[d]->Read(id, out + d * child_block_size_);
   }));
-  stats_.block_reads += disks_.size();
-  stats_.parallel_reads++;  // all D stripes move in one PDM step
-  stats_.bytes_read += logical_block_size_;
+  // All D stripes move in one PDM step.
+  stats_.Charge(/*write=*/false, disks_.size(), 1, logical_block_size_);
   return Status::OK();
 }
 
@@ -155,9 +146,7 @@ Status StripedDevice::Write(uint64_t id, const void* buf) {
   VEM_RETURN_IF_ERROR(ParallelStep([&](size_t d) {
     return disks_[d]->Write(id, in + d * child_block_size_);
   }));
-  stats_.block_writes += disks_.size();
-  stats_.parallel_writes++;
-  stats_.bytes_written += logical_block_size_;
+  stats_.Charge(/*write=*/true, disks_.size(), 1, logical_block_size_);
   return Status::OK();
 }
 

@@ -21,8 +21,8 @@
 // child batches — each disk moves its stripes of all n blocks in one
 // vectored child call, and the D calls run engine-parallel (one parallel
 // step per batch). Deferred accounting mirrors the counted plane exactly:
-// AccountReads/Writes charges every child plus one parallel step per
-// logical block, so IoStats are bit-identical with overlap on or off.
+// Account charges every child plus one parallel step per logical block,
+// so IoStats are bit-identical with overlap on or off.
 #pragma once
 
 #include <atomic>
@@ -76,9 +76,9 @@ class StripedDevice final : public BlockDevice {
   /// Deferred accounting for uncounted logical-block transfers: charge
   /// each child for its stripe and this device for D physical blocks and
   /// one parallel step per logical block — the identical totals the
-  /// counted Read/Write path records.
-  void AccountReads(uint64_t blocks) override;
-  void AccountWrites(uint64_t blocks) override;
+  /// counted Read/Write path records. Striping touches every child per
+  /// logical block, so the ids do not change the charge.
+  void Account(bool write, const uint64_t* ids, uint64_t n) override;
 
   /// Forwards the engine to every child: children execute the physical
   /// stripe transfers, so the child is what picks the submission

@@ -26,8 +26,8 @@
 // it anyway) and every other member becomes its own disk-tagged job, so
 // those blocks land on their own heads while the merge keeps consuming;
 // the PDM charge is deferred to the moment the wave's last block is
-// adopted (all members demonstrably landed) via AccountReadBatch over
-// the same id set — bit-identical totals, earlier wall-clock.
+// adopted (all members demonstrably landed) via an id-aware Account
+// over the same id set — bit-identical totals, earlier wall-clock.
 // Background fills flip themselves off on a warm cache (member waits
 // that never block mean the engine round-trip is pure overhead) and
 // back on at the first slow inline read — a pure transport decision:
@@ -148,7 +148,7 @@ class ForecastMerger {
   /// route). In engine mode each member block is its own disk-tagged
   /// job — the trigger run waits only ITS block while the others land
   /// in the background — and the whole wave is charged once, when its
-  /// last member is adopted, via AccountReadBatch over the same ids
+  /// last member is adopted, via an id-aware Account over the same ids
   /// (one parallel step on an independent-disk device, exactly what
   /// the counted transport charges at issue time; a wave cut short by
   /// an error charges nothing on either transport).
@@ -213,7 +213,7 @@ class ForecastMerger {
     // path are identical either way (every wave is fully adopted).
     if (--w.members_left == 0) {
       if (async_ && !w.accounted) {
-        dev_->AccountReadBatch(w.ids.data(), w.ids.size());
+        dev_->Account(/*write=*/false, w.ids.data(), w.ids.size());
         w.accounted = true;
       }
       std::vector<uint64_t>().swap(w.ids);

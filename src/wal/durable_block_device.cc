@@ -128,7 +128,8 @@ Status DurableBlockDevice::Commit() {
     if (inner_->SupportsUncounted()) ids.push_back(kv.first);
   }
   WalTestMaybeCrash();  // applied, ack not yet returned
-  if (!ids.empty()) inner_->AccountWriteIds(ids.data(), ids.size());
+  // One single-block charge per image: the per-block Write loop's cost.
+  for (uint64_t id : ids) inner_->Account(/*write=*/true, &id, 1);
   return Status::OK();
 }
 
@@ -173,32 +174,10 @@ Status DurableBlockDevice::WriteUncounted(uint64_t id, const void* buf) {
   return inner_->WriteUncounted(id, buf);
 }
 
-void DurableBlockDevice::AccountReads(uint64_t blocks) {
-  inner_->AccountReads(blocks);
-  BlockDevice::AccountReads(blocks);
-}
-
-void DurableBlockDevice::AccountWrites(uint64_t blocks) {
-  inner_->AccountWrites(blocks);
-  BlockDevice::AccountWrites(blocks);
-}
-
-void DurableBlockDevice::AccountReadBatch(const uint64_t* ids,
-                                          uint64_t blocks) {
-  inner_->AccountReadBatch(ids, blocks);
-  BlockDevice::AccountReads(blocks);
-}
-
-void DurableBlockDevice::AccountWriteIds(const uint64_t* ids,
-                                         uint64_t blocks) {
-  inner_->AccountWriteIds(ids, blocks);
-  BlockDevice::AccountWrites(blocks);
-}
-
-void DurableBlockDevice::AccountWriteBatch(const uint64_t* ids,
-                                           uint64_t blocks) {
-  inner_->AccountWriteBatch(ids, blocks);
-  BlockDevice::AccountWrites(blocks);
+void DurableBlockDevice::Account(bool write, const uint64_t* ids,
+                                 uint64_t n) {
+  inner_->Account(write, ids, n);
+  BlockDevice::Account(write, nullptr, n);
 }
 
 uint64_t DurableBlockDevice::PrefetchRoute(uint64_t block_id) const {

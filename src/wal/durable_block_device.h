@@ -15,10 +15,11 @@
 //  Commit() the log is forced (group commit — the durability point, and
 //  the moment the journal's physical writes are charged), then the
 //  pending images are applied to the inner device on its uncounted plane
-//  and charged via AccountWriteIds, exactly mirroring what per-block
-//  counted writes would have recorded. A crash at ANY point leaves the
-//  inner device holding only committed history (possibly missing the
-//  tail the log will redo); uncommitted writes vanish with the overlay.
+//  and charged one id-aware Account call per block, exactly mirroring
+//  what per-block counted writes would have recorded. A crash at ANY
+//  point leaves the inner device holding only committed history
+//  (possibly missing the tail the log will redo); uncommitted writes
+//  vanish with the overlay.
 //  Allocate/Free move to a journaled allocation map owned by the wrapper
 //  (the inner device only ever grows), persisted across clean closes by
 //  a checkpoint record and rebuilt by recovery otherwise.
@@ -92,11 +93,7 @@ class DurableBlockDevice final : public BlockDevice {
   Status ReadUncounted(uint64_t id, void* buf) override;
   Status WriteUncounted(uint64_t id, const void* buf) override;
 
-  void AccountReads(uint64_t blocks) override;
-  void AccountWrites(uint64_t blocks) override;
-  void AccountReadBatch(const uint64_t* ids, uint64_t blocks) override;
-  void AccountWriteIds(const uint64_t* ids, uint64_t blocks) override;
-  void AccountWriteBatch(const uint64_t* ids, uint64_t blocks) override;
+  void Account(bool write, const uint64_t* ids, uint64_t n) override;
   uint64_t PrefetchRoute(uint64_t block_id) const override;
   uint64_t EngineDiskTag(uint64_t block_id) const override;
 

@@ -211,7 +211,7 @@ Status WalManager::ForceTo(uint64_t target) {
       }
       // Commit is when the journal's physical writes become PDM-visible:
       // charge the staged log blocks to the log device now.
-      if (charge > 0) dev_->AccountWrites(charge);
+      if (charge > 0) dev_->Account(/*write=*/true, nullptr, charge);
     } else if (sticky_.ok()) {
       sticky_ = fs.ok() ? ss : fs;
     }

@@ -14,7 +14,7 @@
 //
 // Accounting: the log's physical block writes ride the device's
 // uncounted plane while the tail flushes, and are charged to the log
-// device (AccountWrites) when the fsync that makes them durable
+// device (an id-less Account) when the fsync that makes them durable
 // succeeds — commit is the PDM-visible event, not the speculative
 // staging of log bytes. With the WAL off nothing here runs, so the
 // engine's IoStats identity is untouched.

@@ -3,7 +3,8 @@
 //  - seeded randomized-cycling placement: deterministic per seed, D
 //    consecutive allocations always hit D distinct disks;
 //  - independent-head accounting: counted batches charge one parallel
-//    step per wave of distinct disks, single transfers one step each;
+//    step per wave of distinct disks, single transfers one step each,
+//    and a no-fault wrapper leaves those charges unchanged;
 //  - stats identity (parent AND children) for streamed scan/write and
 //    the forecast-merged external sort: engine on vs off at the same
 //    depth must match bit for bit (the two-plane contract), and every
@@ -121,7 +122,7 @@ TEST(IndependentDiskAccounting, BatchedReadsChargeWaveSteps) {
     ASSERT_TRUE(dev2.WriteUncounted(ids2.back(), block).ok());
   }
   IoProbe probe2(dev2);
-  dev2.AccountReadBatch(ids2.data(), ids2.size());
+  dev2.Account(/*write=*/false, ids2.data(), ids2.size());
   IoStats d2 = probe2.delta();
   EXPECT_EQ(d2.block_reads, 8u);
   EXPECT_EQ(d2.parallel_reads, 2u);
@@ -152,20 +153,59 @@ TEST(IndependentDiskAccounting, BatchedWritesChargeWaveSteps) {
   std::vector<uint64_t> ids2;
   for (int i = 0; i < 8; ++i) ids2.push_back(dev2.Allocate());
   IoProbe probe2(dev2);
-  dev2.AccountWriteBatch(ids2.data(), ids2.size());
+  dev2.Account(/*write=*/true, ids2.data(), ids2.size());
   IoStats d2 = probe2.delta();
   EXPECT_EQ(d2.block_writes, 8u);
   EXPECT_EQ(d2.parallel_writes, 2u);
   for (size_t disk = 0; disk < 4; ++disk) {
     EXPECT_EQ(dev2.disk_stats(disk).block_writes, 2u);
   }
-  // The per-block form keeps per-block steps (the pool's ghost anchor).
+  // One-id calls keep per-block steps (the pool's ghost anchor).
   IndependentDiskDevice dev3(4, kBlock, kSeed);
   std::vector<uint64_t> ids3;
   for (int i = 0; i < 8; ++i) ids3.push_back(dev3.Allocate());
   IoProbe probe3(dev3);
-  dev3.AccountWriteIds(ids3.data(), ids3.size());
+  for (uint64_t id : ids3) dev3.Account(/*write=*/true, &id, 1);
   EXPECT_EQ(probe3.delta().parallel_writes, 8u);
+}
+
+// A wrapper that injects no faults must not change what the wrapped
+// device records: grouped write-behind through a no-fault
+// FaultyBlockDevice still reaches the independent-disk device with its
+// ids, so every block is charged on its child and each 8-block group
+// costs 2 wave steps — exactly what the bare, engine-armed device
+// records.
+TEST(IndependentDiskAccounting, NoFaultWrapperKeepsWriteBehindCharges) {
+  const size_t kBlocks = 64, kDepth = 8;
+  const size_t kItems = kBlocks * (kBlock / sizeof(uint64_t));
+  for (bool wrapped : {false, true}) {
+    SCOPED_TRACE(wrapped ? "wrapped" : "bare");
+    IndependentDiskDevice dev(4, kBlock, kSeed);
+    IoEngine engine(2);
+    dev.set_io_engine(&engine);
+    FaultyBlockDevice faulty(&dev);
+    BlockDevice* target = &dev;
+    if (wrapped) target = &faulty;
+    ExtVector<uint64_t> vec(target);
+    vec.set_prefetch_depth(kDepth);
+    {
+      ExtVector<uint64_t>::Writer w(&vec);
+      for (uint64_t i = 0; i < kItems; ++i) ASSERT_TRUE(w.Append(i));
+      ASSERT_TRUE(w.Finish().ok());
+    }
+    ASSERT_EQ(vec.num_blocks(), kBlocks);
+    EXPECT_EQ(dev.stats().block_writes, kBlocks);
+    EXPECT_EQ(dev.stats().parallel_writes, kBlocks / 4);
+    uint64_t child_writes = 0;
+    for (size_t d = 0; d < dev.num_disks(); ++d) {
+      EXPECT_EQ(dev.disk_stats(d).block_writes, kBlocks / 4) << "child " << d;
+      EXPECT_EQ(dev.disk_stats(d).parallel_writes, kBlocks / 4)
+          << "child " << d;
+      child_writes += dev.disk_stats(d).block_writes;
+    }
+    EXPECT_EQ(child_writes, kBlocks);
+    dev.set_io_engine(nullptr);
+  }
 }
 
 TEST(IndependentDiskAccounting, SingleTransfersChargeOneStepEach) {
@@ -652,7 +692,7 @@ TEST(PerRouteGovernor, OneDisksWasteDoesNotDisarmOtherHeads) {
 // ------------------------------------------------ engine saturation gate
 
 /// Holds the engine's only worker busy until released, with one more job
-/// queued behind it: saturated() == true while held.
+/// queued behind it: Headroom() == 0.0 (saturated) while held.
 class EngineSaturator {
  public:
   explicit EngineSaturator(IoEngine* engine) : engine_(engine) {
@@ -691,15 +731,15 @@ class EngineSaturator {
 
 TEST(EngineSaturation, GaugeReflectsBusyWorkersAndBacklog) {
   IoEngine engine(1);
-  EXPECT_FALSE(engine.saturated());
+  EXPECT_NE(engine.Headroom(), 0.0);
   {
     EngineSaturator sat(&engine);
     EXPECT_EQ(engine.busy_workers(), 1u);
     EXPECT_GE(engine.queued_jobs(), 1u);
-    EXPECT_TRUE(engine.saturated());
+    EXPECT_EQ(engine.Headroom(), 0.0);
     sat.Release();
   }
-  EXPECT_FALSE(engine.saturated());
+  EXPECT_NE(engine.Headroom(), 0.0);
   EXPECT_EQ(engine.queued_jobs(), 0u);
 }
 
@@ -719,7 +759,7 @@ TEST(EngineSaturation, GovernorRefusesDepthGrowsWhileSaturated) {
   ASSERT_EQ(lease->depth(), 4u);
   {
     EngineSaturator sat(&engine);
-    ASSERT_TRUE(engine.saturated());
+    ASSERT_EQ(engine.Headroom(), 0.0);
     // A fully stalled period that would normally double depth.
     for (int w = 0; w < 2; ++w) {
       uint64_t t0 = lease->BeginWait();
@@ -752,7 +792,7 @@ TEST(EngineSaturation, ArbiterDeniesStagingGrowsWhileSaturated) {
   auto staging = arb.LeaseStaging(16);
   {
     EngineSaturator sat(&engine);
-    ASSERT_TRUE(engine.saturated());
+    ASSERT_EQ(engine.Headroom(), 0.0);
     EXPECT_EQ(staging->RequestGrow(8), 0u);
     EXPECT_EQ(arb.saturation_denied_grows(), 1u);
     EXPECT_EQ(staging->target_blocks(), 16u);

@@ -89,7 +89,7 @@ TEST(FailStop, SetDeadAfterRejectsEveryFurtherAttempt) {
   EXPECT_TRUE(dev.ReadUncounted(id, out).IsIOError());
   // Deferred accounting still reaches a dead device (it moves no bytes).
   IoStats before = dev.stats();
-  dev.AccountReads(3);
+  dev.Account(/*write=*/false, nullptr, 3);
   EXPECT_EQ(dev.stats().block_reads, before.block_reads + 3);
 }
 
