@@ -7,16 +7,18 @@
 // the BufferPool), so measured I/O counts are exact.
 //
 // Two access planes:
+//  - the UNCOUNTED plane (*Uncounted) moves bytes without accounting;
 //  - the COUNTED plane (Read/Write/ReadBatch/WriteBatch) charges IoStats
-//    as it transfers — the plane every algorithm uses;
-//  - the UNCOUNTED plane (*Uncounted) moves bytes without accounting.
-//    It exists for the async I/O engine: read-ahead/write-behind streams
-//    perform physical transfers early on engine threads, then charge the
-//    PDM cost via Account() in the consuming thread at the moment the
-//    synchronous path would have done the I/O. Totals stay bit-identical
-//    whether overlap is on or off; speculative blocks that are never
-//    consumed are never charged (the PDM prices algorithmic accesses,
-//    not hardware prefetches).
+//    — the plane every algorithm uses. A counted op IS the uncounted
+//    transfer followed, on success, by Account() for the same ids: the
+//    base class builds Read/Write that way, so a device writes each
+//    transfer once and its accounting once, and the two planes cannot
+//    disagree. Read-ahead/write-behind streams split the pair: engine
+//    threads perform the transfer early, the consuming thread calls
+//    Account() at the moment the synchronous path would have done the
+//    I/O. Totals stay bit-identical whether overlap is on or off;
+//    speculative blocks that are never consumed are never charged (the
+//    PDM prices algorithmic accesses, not hardware prefetches).
 #pragma once
 
 #include <cstdint>
@@ -89,29 +91,45 @@ class BlockDevice {
   /// Bytes per block (the PDM B, in bytes).
   virtual size_t block_size() const = 0;
 
-  /// Read block `id` into `buf` (must hold block_size() bytes).
-  virtual Status Read(uint64_t id, void* buf) = 0;
-
-  /// Write block `id` from `buf` (must hold block_size() bytes).
-  virtual Status Write(uint64_t id, const void* buf) = 0;
-
-  /// Vectored read of `n` blocks: ids[i] -> bufs[i]. Counted exactly like
-  /// the equivalent Read loop (n block reads, n PDM steps on one disk).
-  /// The default IS that loop; devices with a faster path (preadv
-  /// coalescing of contiguous ids) override it.
-  virtual Status ReadBatch(const uint64_t* ids, void* const* bufs, size_t n) {
-    for (size_t i = 0; i < n; ++i)
-      VEM_RETURN_IF_ERROR(RetriedRead(ids[i], bufs[i]));
+  /// Read block `id` into `buf` (must hold block_size() bytes):
+  /// ReadUncounted, then on success the one-id Account. Only a device
+  /// without an uncounted plane (a journaling DurableBlockDevice)
+  /// overrides it.
+  virtual Status Read(uint64_t id, void* buf) {
+    VEM_RETURN_IF_ERROR(ReadUncounted(id, buf));
+    Account(/*write=*/false, &id, 1);
     return Status::OK();
   }
 
-  /// Vectored write of `n` blocks: bufs[i] -> ids[i]. Counting mirrors the
-  /// equivalent Write loop; default is that loop.
+  /// Write block `id` from `buf` (must hold block_size() bytes):
+  /// WriteUncounted, then on success the one-id Account.
+  virtual Status Write(uint64_t id, const void* buf) {
+    VEM_RETURN_IF_ERROR(WriteUncounted(id, buf));
+    Account(/*write=*/true, &id, 1);
+    return Status::OK();
+  }
+
+  /// Vectored read of `n` blocks: ids[i] -> bufs[i]. The default is the
+  /// uncounted per-block loop, then ONE Account over the blocks that
+  /// landed — Account(ids, n) on success, so a wrapper charges its inner
+  /// device what the deferred plane would (waves included), and a batch
+  /// cut short by a failure still charges the prefix that transferred.
+  /// Devices with a faster path (preadv coalescing) override it.
+  virtual Status ReadBatch(const uint64_t* ids, void* const* bufs, size_t n) {
+    size_t done = 0;
+    Status s = TransferLoop(/*write=*/false, ids, bufs, n, &done);
+    Account(/*write=*/false, ids, done);
+    return s;
+  }
+
+  /// Vectored write of `n` blocks: bufs[i] -> ids[i]; as ReadBatch.
   virtual Status WriteBatch(const uint64_t* ids, const void* const* bufs,
                             size_t n) {
-    for (size_t i = 0; i < n; ++i)
-      VEM_RETURN_IF_ERROR(RetriedWrite(ids[i], bufs[i]));
-    return Status::OK();
+    size_t done = 0;
+    Status s = TransferLoop(/*write=*/true, ids,
+                            const_cast<void* const*>(bufs), n, &done);
+    Account(/*write=*/true, ids, done);
+    return s;
   }
 
   // ---------------------------------------------------- uncounted plane
@@ -125,8 +143,9 @@ class BlockDevice {
   /// owning thread (transfers touch only immutable or atomic state).
   virtual bool SupportsAsync() const { return false; }
 
-  /// Physical transfer without accounting. Devices that return true from
-  /// SupportsUncounted() must override; others reject.
+  /// Physical transfer without accounting — the body of the counted
+  /// Read/Write too. Devices that return true from SupportsUncounted()
+  /// must override; others reject (and must override Read/Write).
   virtual Status ReadUncounted(uint64_t id, void* buf) {
     (void)id, (void)buf;
     return Status::NotSupported("device has no uncounted read path");
@@ -140,34 +159,21 @@ class BlockDevice {
   /// forms, overrides coalesce.
   virtual Status ReadBatchUncounted(const uint64_t* ids, void* const* bufs,
                                     size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      if (retry_ == nullptr) {
-        VEM_RETURN_IF_ERROR(ReadUncounted(ids[i], bufs[i]));
-      } else {
-        VEM_RETURN_IF_ERROR(RunWithDiskRetry(
-            retry_, engine_, EngineDiskTag(ids[i]), ids[i],
-            [&, i] { return ReadUncounted(ids[i], bufs[i]); }));
-      }
-    }
-    return Status::OK();
+    size_t done = 0;
+    return TransferLoop(/*write=*/false, ids, bufs, n, &done);
   }
   virtual Status WriteBatchUncounted(const uint64_t* ids,
                                      const void* const* bufs, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      if (retry_ == nullptr) {
-        VEM_RETURN_IF_ERROR(WriteUncounted(ids[i], bufs[i]));
-      } else {
-        VEM_RETURN_IF_ERROR(RunWithDiskRetry(
-            retry_, engine_, EngineDiskTag(ids[i]), ids[i],
-            [&, i] { return WriteUncounted(ids[i], bufs[i]); }));
-      }
-    }
-    return Status::OK();
+    size_t done = 0;
+    return TransferLoop(/*write=*/true, ids, const_cast<void* const*>(bufs),
+                        n, &done);
   }
 
-  /// Charge deferred PDM cost for `n` blocks moved on the uncounted
-  /// plane (`write` picks the side). The one deferred-accounting hook;
-  /// call it from the consuming thread only (counters are not atomic).
+  /// Charge PDM cost for `n` blocks moved on the uncounted plane
+  /// (`write` picks the side). The one accounting hook: the counted
+  /// single-block ops call it right after their transfer, streams defer
+  /// it; call it from the consuming thread only (counters are not
+  /// atomic).
   ///
   /// ids == nullptr: the id-less per-block charge — n transfers, n
   /// parallel steps, as if each were a synchronous single-block op.
@@ -178,7 +184,7 @@ class BlockDevice {
   /// one parallel step per wave of distinct disks. A one-id call is
   /// therefore always the synchronous single Read/Write's charge.
   /// Wrappers forward to their inner device and charge themselves per
-  /// block, exactly like their counted path.
+  /// block.
   virtual void Account(bool write, const uint64_t* ids, uint64_t n) {
     (void)ids;
     stats_.Charge(write, n, n, n * block_size());
@@ -279,19 +285,24 @@ class BlockDevice {
   const IoStats& stats() const { return stats_; }
 
  protected:
-  /// Single counted transfers wrapped in the retry shim — the bodies of
-  /// the default batch loops. Safe because every device in the repo
-  /// charges a counted single-block op only on success, so a failed
-  /// attempt is charge-free and re-running it cannot double-count.
-  Status RetriedRead(uint64_t id, void* buf) {
-    if (retry_ == nullptr) return Read(id, buf);
-    return RunWithDiskRetry(retry_, engine_, EngineDiskTag(id), id,
-                            [&] { return Read(id, buf); });
-  }
-  Status RetriedWrite(uint64_t id, const void* buf) {
-    if (retry_ == nullptr) return Write(id, buf);
-    return RunWithDiskRetry(retry_, engine_, EngineDiskTag(id), id,
-                            [&] { return Write(id, buf); });
+  /// The default batch body: one single-block uncounted transfer per id,
+  /// in order, each wrapped in the retry shim (safe: an uncounted attempt
+  /// charges nothing, so re-running it cannot double-count). Stops at
+  /// the first failure; *done is how many blocks landed before it.
+  Status TransferLoop(bool write, const uint64_t* ids, void* const* bufs,
+                      size_t n, size_t* done) {
+    for (; *done < n; ++*done) {
+      const uint64_t id = ids[*done];
+      void* buf = bufs[*done];
+      auto op = [&] {
+        return write ? WriteUncounted(id, buf) : ReadUncounted(id, buf);
+      };
+      VEM_RETURN_IF_ERROR(retry_ == nullptr
+                              ? op()
+                              : RunWithDiskRetry(retry_, engine_,
+                                                 EngineDiskTag(id), id, op));
+    }
+    return Status::OK();
   }
 
   IoStats stats_;

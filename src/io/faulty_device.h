@@ -28,8 +28,6 @@
 //    down the engine, or its destructor joins a worker that never
 //    returns (deliberately: a real hung disk does not unhang for
 //    destructors either).
-// All schedules apply on both the counted and uncounted planes, sharing
-// one attempt counter per direction.
 #pragma once
 
 #include <algorithm>
@@ -62,48 +60,23 @@ class FaultyBlockDevice final : public BlockDevice {
 
   size_t block_size() const override { return inner_->block_size(); }
 
-  Status Read(uint64_t id, void* buf) override {
-    VEM_RETURN_IF_ERROR(OnReadAttempt());
-    Status s = inner_->Read(id, buf);
-    if (s.ok()) {
-      stats_.block_reads++;
-      stats_.parallel_reads++;
-      stats_.bytes_read += block_size();
-    }
-    return s;
-  }
-
-  Status Write(uint64_t id, const void* buf) override {
-    bool torn = false;
-    Status inj = OnWriteAttempt(&torn);
-    if (torn) return TearWrite(id, buf);
-    VEM_RETURN_IF_ERROR(inj);
-    Status s = inner_->Write(id, buf);
-    if (s.ok()) {
-      stats_.block_writes++;
-      stats_.parallel_writes++;
-      stats_.bytes_written += block_size();
-    }
-    return s;
-  }
-
   /// Arm torn-write injection: the N-th write (1-based, same counter as
-  /// fail_write_at_, either plane) persists only the first `bytes` bytes
-  /// of the new block content — the rest of the block keeps its previous
-  /// contents — then reports an IOError as the "crash". The partial
-  /// block IS durable on the inner device, so a recovery scan sees a
-  /// block whose contents fail CRC validation rather than a clean end.
+  /// fail_write_at_) persists only the first `bytes` bytes of the new
+  /// block content — the rest of the block keeps its previous contents
+  /// — then reports an IOError as the "crash". The partial block IS
+  /// durable on the inner device, so a recovery scan sees a block whose
+  /// contents fail CRC validation rather than a clean end.
   void SetTornWrite(uint64_t at_write, size_t bytes) {
     torn_write_at_ = at_write;
     torn_bytes_ = bytes;
   }
 
   /// Arm a transient read fault: from the at_read-th read attempt
-  /// (1-based, both planes), the next `times` attempts fail with
-  /// Status::Unavailable, then attempts succeed again. Failed attempts
-  /// charge nothing and DO advance the attempt counter, so "fail the
-  /// k-th transfer N times, then succeed" is attempts k..k+N-1 failing
-  /// and attempt k+N going through.
+  /// (1-based), the next `times` attempts fail with Status::Unavailable,
+  /// then attempts succeed again. Failed attempts charge nothing and DO
+  /// advance the attempt counter, so "fail the k-th transfer N times,
+  /// then succeed" is attempts k..k+N-1 failing and attempt k+N going
+  /// through.
   void SetTransientReadFault(uint64_t at_read, uint64_t times) {
     transient_read_at_ = at_read;
     transient_reads_left_ = times;
@@ -114,13 +87,13 @@ class FaultyBlockDevice final : public BlockDevice {
     transient_writes_left_ = times;
   }
 
-  /// Sleep this long before every transfer attempt (both directions,
-  /// both planes): a slow-but-correct disk for latency-EWMA tests.
+  /// Sleep this long before every transfer attempt (both directions):
+  /// a slow-but-correct disk for latency-EWMA tests.
   void SetLatency(uint64_t micros) { latency_us_ = micros; }
 
   /// Fail-stop mode: after `attempts` total transfer attempts (reads +
-  /// writes, both planes, 1-based), EVERY further attempt fails with a
-  /// permanent (non-transient) IOError, forever — a head that died
+  /// writes, 1-based), EVERY further attempt fails with a permanent
+  /// (non-transient) IOError, forever — a head that died
   /// mid-run rather than a scheduled one-shot fault. 0 kills the device
   /// immediately. Unlike transient schedules the retry plane cannot
   /// absorb this; RunWithDiskRetry escalates it to the engine as
@@ -156,12 +129,13 @@ class FaultyBlockDevice final : public BlockDevice {
     return stalled_now_.load(std::memory_order_acquire);
   }
 
-  // Uncounted plane: forwarded (when the inner device has one) with the
-  // same injection schedule, so armed read-ahead/write-behind streams —
-  // including striped devices with a faulty child — must surface the
-  // fault as Status when the speculative window is consumed. Injection
-  // counts physical transfer attempts on whichever plane they happen.
-  // Stays SupportsAsync() == false: the fault counters are not atomic.
+  // The transfer bodies — of the counted Read/Write too (base class):
+  // the injection schedule runs, then the call forwards to the inner
+  // device, so armed read-ahead/write-behind streams — including striped
+  // devices with a faulty child — must surface the fault as Status when
+  // the speculative window is consumed. Injection counts physical
+  // transfer attempts. Stays SupportsAsync() == false: the fault
+  // counters are not atomic.
   bool SupportsUncounted() const override {
     return inner_->SupportsUncounted();
   }
@@ -181,9 +155,8 @@ class FaultyBlockDevice final : public BlockDevice {
   /// already durable by the time the barrier runs — that is the point).
   Status Sync() override { return inner_->Sync(); }
 
-  /// Deferred accounting forwards the ids to the inner device (which
-  /// may route them per disk) and charges this wrapper per block —
-  /// exactly what the counted path records on both.
+  /// Accounting forwards the ids to the inner device (which may route
+  /// them per disk) and charges this wrapper per block.
   void Account(bool write, const uint64_t* ids, uint64_t n) override {
     inner_->Account(write, ids, n);
     BlockDevice::Account(write, nullptr, n);
@@ -204,31 +177,25 @@ class FaultyBlockDevice final : public BlockDevice {
 
  private:
   /// Persist prefix-of-new + suffix-of-old for block `id`, then report
-  /// the crash. Rides the uncounted plane when available so the torn
-  /// bytes never show up as a successful counted write.
+  /// the crash. The failed write charges nothing, like any failed
+  /// transfer, so the torn bytes never show up as a counted write.
   Status TearWrite(uint64_t id, const void* buf) {
     std::vector<char> merged(block_size(), 0);
     // Old content first (unwritten blocks read as zeros by contract) —
     // a real torn sector keeps its stale tail, not a clean one.
-    if (inner_->SupportsUncounted()) {
-      (void)inner_->ReadUncounted(id, merged.data());
-    } else {
-      (void)inner_->Read(id, merged.data());
-    }
+    (void)inner_->ReadUncounted(id, merged.data());
     size_t keep = std::min(torn_bytes_, block_size());
     std::memcpy(merged.data(), buf, keep);
-    Status s = inner_->SupportsUncounted()
-                   ? inner_->WriteUncounted(id, merged.data())
-                   : inner_->Write(id, merged.data());
+    Status s = inner_->WriteUncounted(id, merged.data());
     if (!s.ok()) return s;
     return Status::IOError("injected torn write #" +
                            std::to_string(writes_seen_) + " (" +
                            std::to_string(keep) + " bytes persisted)");
   }
 
-  /// Shared read-attempt prologue (both planes): count the attempt,
-  /// inject latency/stall, then transient and classic faults in that
-  /// order. OK means forward to the inner device.
+  /// Read-attempt prologue: count the attempt, inject latency/stall,
+  /// then transient and classic faults in that order. OK means forward
+  /// to the inner device.
   Status OnReadAttempt() {
     ++reads_seen_;
     if (dead()) {

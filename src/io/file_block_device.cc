@@ -308,22 +308,6 @@ Status FileBlockDevice::WriteUncountedImpl(uint64_t id, const void* buf) {
   return Status::OK();
 }
 
-Status FileBlockDevice::Read(uint64_t id, void* buf) {
-  VEM_RETURN_IF_ERROR(ReadUncounted(id, buf));
-  stats_.block_reads++;
-  stats_.parallel_reads++;
-  stats_.bytes_read += block_size_;
-  return Status::OK();
-}
-
-Status FileBlockDevice::Write(uint64_t id, const void* buf) {
-  VEM_RETURN_IF_ERROR(WriteUncounted(id, buf));
-  stats_.block_writes++;
-  stats_.parallel_writes++;
-  stats_.bytes_written += block_size_;
-  return Status::OK();
-}
-
 Status FileBlockDevice::TransferRun(uint64_t first_id, void* const* bufs,
                                     size_t nblocks, bool write,
                                     size_t* blocks_completed) {

@@ -114,8 +114,6 @@ class FileBlockDevice final : public BlockDevice {
   uint64_t data_syncs() const { return data_syncs_.load(); }
 
   size_t block_size() const override { return block_size_; }
-  Status Read(uint64_t id, void* buf) override;
-  Status Write(uint64_t id, const void* buf) override;
   Status ReadBatch(const uint64_t* ids, void* const* bufs, size_t n) override;
   Status WriteBatch(const uint64_t* ids, const void* const* bufs,
                     size_t n) override;

@@ -464,87 +464,12 @@ void IndependentDiskDevice::MarkWrittenShared(const uint64_t* ids, size_t n) {
   }
 }
 
-Status IndependentDiskDevice::DegradedReadBlock(uint64_t id, const Loc& l,
-                                                void* buf, bool counted) {
-  Status s;
-  {
-    std::lock_guard<std::mutex> plock(parity_mu_);
-    s = ReconstructLocked(id, buf);
-  }
-  VEM_RETURN_IF_ERROR(s);
-  // The home child is charged through its deferred plane exactly what
-  // its healthy synchronous read would have recorded, so per-child
-  // IoStats stay bit-identical; the reconstruction's physical reads
-  // already rode the gauge.
-  if (counted) disks_[l.disk]->Account(/*write=*/false, nullptr, 1);
-  return Status::OK();
-}
-
-Status IndependentDiskDevice::Read(uint64_t id, void* buf) {
-  Loc l;
-  if (!valid_ || !Lookup(id, &l)) {
-    return Status::InvalidArgument("IndependentDiskDevice: bad block id");
-  }
-  BlockDevice* disk = disks_[l.disk].get();
-  if (RedundancyArmed() && DiskDegraded(l.disk)) {
-    VEM_RETURN_IF_ERROR(DegradedReadBlock(id, l, buf, /*counted=*/true));
-  } else {
-    Status s;
-    if (retry_ == nullptr) {
-      s = disk->Read(l.child_id, buf);
-    } else {
-      // Per-block retry at the parent: the child's counted single-block
-      // Read charges only on success, so whole-op re-execution cannot
-      // double-count, and failed attempts feed the child head's health.
-      s = RunWithDiskRetry(retry_, engine_, reinterpret_cast<uintptr_t>(disk),
-                           l.child_id,
-                           [&] { return disk->Read(l.child_id, buf); });
-    }
-    if (RedundancyArmed() && !s.ok()) {
-      // A rebuild swap may have re-homed the block between the lookup
-      // and the transfer; one re-lookup closes that window.
-      Loc l2;
-      if (Lookup(id, &l2) &&
-          (l2.disk != l.disk || l2.child_id != l.child_id)) {
-        return Read(id, buf);
-      }
-      if (s.IsIOError()) {
-        // Permanent failure past the retry plane: latch the head dead
-        // and serve the block from the group. The failed attempt
-        // charged nothing, so the degraded path's deferred charge is
-        // the only one.
-        MarkDiskDead(l.disk);
-        s = DegradedReadBlock(id, l, buf, /*counted=*/true);
-      }
-    }
-    VEM_RETURN_IF_ERROR(s);
-  }
-  // One head moved: one PDM step.
-  stats_.Charge(/*write=*/false, 1, 1, block_size_);
-  return Status::OK();
-}
-
-Status IndependentDiskDevice::Write(uint64_t id, const void* buf) {
-  if (RedundancyArmed()) {
-    const void* one = buf;
-    VEM_RETURN_IF_ERROR(FanOutWrite(&id, &one, 1, /*counted=*/true));
-    stats_.Charge(/*write=*/true, 1, 1, block_size_);
-    return Status::OK();
-  }
-  Loc l;
-  if (!valid_ || !Lookup(id, &l)) {
-    return Status::InvalidArgument("IndependentDiskDevice: bad block id");
-  }
-  BlockDevice* disk = disks_[l.disk].get();
-  if (retry_ == nullptr) {
-    VEM_RETURN_IF_ERROR(disk->Write(l.child_id, buf));
-  } else {
-    VEM_RETURN_IF_ERROR(RunWithDiskRetry(
-        retry_, engine_, reinterpret_cast<uintptr_t>(disk), l.child_id,
-        [&] { return disk->Write(l.child_id, buf); }));
-  }
-  stats_.Charge(/*write=*/true, 1, 1, block_size_);
-  return Status::OK();
+Status IndependentDiskDevice::DegradedReadBlock(uint64_t id, void* buf) {
+  // The reconstruction's physical reads ride the gauge; the caller's
+  // Account charges the home child exactly what its healthy read would
+  // have recorded, so per-child IoStats stay bit-identical.
+  std::lock_guard<std::mutex> plock(parity_mu_);
+  return ReconstructLocked(id, buf);
 }
 
 uint64_t IndependentDiskDevice::CountWaves(const uint64_t* ids,
@@ -573,7 +498,7 @@ uint64_t IndependentDiskDevice::CountWaves(const uint64_t* ids,
 }
 
 Status IndependentDiskDevice::FanOut(const uint64_t* ids, void* const* bufs,
-                                     size_t n, bool write, bool counted) {
+                                     size_t n, bool write) {
   if (!valid_) {
     return Status::InvalidArgument(
         "IndependentDiskDevice children violate preconditions");
@@ -602,15 +527,6 @@ Status IndependentDiskDevice::FanOut(const uint64_t* ids, void* const* bufs,
     const size_t nd = child_ids[d].size();
     if (nd == 0) return Status::OK();
     BlockDevice* disk = disks_[d].get();
-    if (counted) {
-      if (write) {
-        return disk->WriteBatch(child_ids[d].data(),
-                                const_cast<const void* const*>(
-                                    child_bufs[d].data()),
-                                nd);
-      }
-      return disk->ReadBatch(child_ids[d].data(), child_bufs[d].data(), nd);
-    }
     if (write) {
       return disk->WriteBatchUncounted(
           child_ids[d].data(),
@@ -634,18 +550,14 @@ Status IndependentDiskDevice::FanOut(const uint64_t* ids, void* const* bufs,
     jobs.push_back([&disk_op, d] { return disk_op(d); });
     tags.push_back(reinterpret_cast<uintptr_t>(disks_[d].get()));
   }
-  // Uncounted fan-out jobs are charge-free end to end, so they may also
-  // opt into the ENGINE's whole-job retry plane (when one is configured
-  // there); counted jobs charge per block inside the child and must rely
-  // on the finer-grained retries below them instead.
-  return engine_->RunBatch(std::move(jobs), tags, /*retryable=*/!counted);
+  // Fan-out jobs are charge-free end to end, so they may also opt into
+  // the ENGINE's whole-job retry plane (when one is configured there).
+  return engine_->RunBatch(std::move(jobs), tags, /*retryable=*/true);
 }
 
 Status IndependentDiskDevice::FanOutRead(const uint64_t* ids, void* const* bufs,
-                                         size_t n, bool counted) {
-  if (!RedundancyArmed()) {
-    return FanOut(ids, bufs, n, /*write=*/false, counted);
-  }
+                                         size_t n) {
+  if (!RedundancyArmed()) return FanOut(ids, bufs, n, /*write=*/false);
   if (!valid_) {
     return Status::InvalidArgument(
         "IndependentDiskDevice children violate preconditions");
@@ -654,15 +566,11 @@ Status IndependentDiskDevice::FanOutRead(const uint64_t* ids, void* const* bufs,
   std::vector<std::vector<uint64_t>> child_ids(D);
   std::vector<std::vector<void*>> child_bufs(D);
   std::vector<std::vector<uint64_t>> logical(D);
-  // Blocks served by reconstruction: pre-known degraded heads get their
-  // home child charged per block (what the healthy batch would have
-  // recorded); blocks of a head that dies MID-batch are topped up in
-  // bulk below, so their reconstructions carry no extra charge.
+  // Blocks served by reconstruction: those of pre-known degraded heads,
+  // then those of a head that dies mid-batch.
   struct Recon {
     uint64_t id;
     void* buf;
-    uint32_t disk;
-    bool charge;
   };
   std::vector<Recon> recon;
   {
@@ -675,7 +583,7 @@ Status IndependentDiskDevice::FanOutRead(const uint64_t* ids, void* const* bufs,
     for (size_t i = 0; i < n; ++i) {
       const Loc& l = loc_[ids[i]];
       if (DiskDegraded(l.disk)) {
-        recon.push_back(Recon{ids[i], bufs[i], l.disk, counted});
+        recon.push_back(Recon{ids[i], bufs[i]});
       } else {
         child_ids[l.disk].push_back(l.child_id);
         child_bufs[l.disk].push_back(bufs[i]);
@@ -683,25 +591,13 @@ Status IndependentDiskDevice::FanOutRead(const uint64_t* ids, void* const* bufs,
       }
     }
   }
-  // Child-stat snapshots turn a mid-batch death into an exact top-up:
-  // healthy charge nd minus what landed before the failure. Reading the
-  // counters here is safe — all jobs are waited before the re-read.
-  std::vector<uint64_t> before(D, 0);
-  if (counted) {
-    for (size_t d = 0; d < D; ++d) before[d] = disks_[d]->stats().block_reads;
-  }
   std::vector<Status> st(D, Status::OK());
   auto disk_op = [&](size_t d) -> Status {
     const size_t nd = child_ids[d].size();
     if (nd == 0) return Status::OK();
-    BlockDevice* disk = disks_[d].get();
-    Status s = counted
-                   ? disk->ReadBatch(child_ids[d].data(), child_bufs[d].data(),
-                                     nd)
-                   : disk->ReadBatchUncounted(child_ids[d].data(),
-                                              child_bufs[d].data(), nd);
-    st[d] = s;
-    return s;
+    st[d] = disks_[d]->ReadBatchUncounted(child_ids[d].data(),
+                                          child_bufs[d].data(), nd);
+    return st[d];
   };
   if (engine_ == nullptr || D < 2) {
     for (size_t d = 0; d < D; ++d) (void)disk_op(d);
@@ -713,27 +609,18 @@ Status IndependentDiskDevice::FanOutRead(const uint64_t* ids, void* const* bufs,
       jobs.push_back([&disk_op, d] { return disk_op(d); });
       tags.push_back(reinterpret_cast<uintptr_t>(disks_[d].get()));
     }
-    (void)engine_->RunBatch(std::move(jobs), tags, /*retryable=*/!counted);
+    (void)engine_->RunBatch(std::move(jobs), tags, /*retryable=*/true);
   }
   Status first_err = Status::OK();
   for (size_t d = 0; d < D; ++d) {
     if (st[d].ok()) continue;
     if (st[d].IsIOError()) {
-      // The head died mid-batch: latch it, make the child's charge what
-      // the healthy batch would have recorded, and reconstruct every
-      // block it owed this batch (blocks that landed before the death
-      // are simply overwritten with identical content).
+      // The head died mid-batch: latch it and reconstruct every block it
+      // owed this batch (blocks that landed before the death are simply
+      // overwritten with identical content).
       MarkDiskDead(d);
-      const size_t nd = child_ids[d].size();
-      if (counted) {
-        const uint64_t landed = disks_[d]->stats().block_reads - before[d];
-        if (landed < nd) {
-          disks_[d]->Account(/*write=*/false, nullptr, nd - landed);
-        }
-      }
-      for (size_t k = 0; k < nd; ++k) {
-        recon.push_back(
-            Recon{logical[d][k], child_bufs[d][k], uint32_t(d), false});
+      for (size_t k = 0; k < child_ids[d].size(); ++k) {
+        recon.push_back(Recon{logical[d][k], child_bufs[d][k]});
       }
     } else if (first_err.ok()) {
       first_err = st[d];
@@ -744,18 +631,16 @@ Status IndependentDiskDevice::FanOutRead(const uint64_t* ids, void* const* bufs,
     std::lock_guard<std::mutex> plock(parity_mu_);
     for (const Recon& r : recon) {
       VEM_RETURN_IF_ERROR(ReconstructLocked(r.id, r.buf));
-      if (r.charge) disks_[r.disk]->Account(/*write=*/false, nullptr, 1);
     }
   }
   return Status::OK();
 }
 
 Status IndependentDiskDevice::FanOutWrite(const uint64_t* ids,
-                                          const void* const* bufs, size_t n,
-                                          bool counted) {
+                                          const void* const* bufs,
+                                          size_t n) {
   if (!RedundancyArmed()) {
-    return FanOut(ids, const_cast<void* const*>(bufs), n, /*write=*/true,
-                  counted);
+    return FanOut(ids, const_cast<void* const*>(bufs), n, /*write=*/true);
   }
   if (!valid_) {
     return Status::InvalidArgument(
@@ -846,40 +731,26 @@ Status IndependentDiskDevice::FanOutWrite(const uint64_t* ids,
     }
   }
   // -------- phase B: data writes fan out to live heads only. A dead
-  // head's blocks are carried by the redundancy plane alone, charged
-  // through the deferred plane exactly as the healthy write would have
-  // been (bit-identical child IoStats).
+  // head's blocks are carried by the redundancy plane alone.
   std::vector<std::vector<uint64_t>> child_ids(D);
   std::vector<std::vector<void*>> child_bufs(D);
   for (size_t i = 0; i < n; ++i) {
     const uint32_t d = locs[i].disk;
     if (DiskDead(d)) {
-      if (counted) disks_[d]->Account(/*write=*/true, nullptr, 1);
       g_degraded_writes_.fetch_add(1, std::memory_order_relaxed);
     } else {
       child_ids[d].push_back(locs[i].child_id);
       child_bufs[d].push_back(const_cast<void*>(bufs[i]));
     }
   }
-  std::vector<uint64_t> before(D, 0);
-  if (counted) {
-    for (size_t d = 0; d < D; ++d) before[d] = disks_[d]->stats().block_writes;
-  }
   std::vector<Status> st(D, Status::OK());
   auto disk_op = [&](size_t d) -> Status {
     const size_t nd = child_ids[d].size();
     if (nd == 0) return Status::OK();
-    BlockDevice* disk = disks_[d].get();
-    Status s =
-        counted
-            ? disk->WriteBatch(
-                  child_ids[d].data(),
-                  const_cast<const void* const*>(child_bufs[d].data()), nd)
-            : disk->WriteBatchUncounted(
-                  child_ids[d].data(),
-                  const_cast<const void* const*>(child_bufs[d].data()), nd);
-    st[d] = s;
-    return s;
+    st[d] = disks_[d]->WriteBatchUncounted(
+        child_ids[d].data(),
+        const_cast<const void* const*>(child_bufs[d].data()), nd);
+    return st[d];
   };
   if (engine_ == nullptr || D < 2) {
     for (size_t d = 0; d < D; ++d) (void)disk_op(d);
@@ -891,21 +762,15 @@ Status IndependentDiskDevice::FanOutWrite(const uint64_t* ids,
       jobs.push_back([&disk_op, d] { return disk_op(d); });
       tags.push_back(reinterpret_cast<uintptr_t>(disks_[d].get()));
     }
-    (void)engine_->RunBatch(std::move(jobs), tags, /*retryable=*/!counted);
+    (void)engine_->RunBatch(std::move(jobs), tags, /*retryable=*/true);
   }
   Status first_err = Status::OK();
   for (size_t d = 0; d < D; ++d) {
     if (st[d].ok()) continue;
     if (st[d].IsIOError()) {
       MarkDiskDead(d);
-      const size_t nd = child_ids[d].size();
-      if (counted) {
-        const uint64_t landed = disks_[d]->stats().block_writes - before[d];
-        if (landed < nd) {
-          disks_[d]->Account(/*write=*/true, nullptr, nd - landed);
-        }
-      }
-      g_degraded_writes_.fetch_add(nd, std::memory_order_relaxed);
+      g_degraded_writes_.fetch_add(child_ids[d].size(),
+                                   std::memory_order_relaxed);
     } else if (first_err.ok()) {
       first_err = st[d];
     }
@@ -948,21 +813,19 @@ Status IndependentDiskDevice::FanOutWrite(const uint64_t* ids,
 
 Status IndependentDiskDevice::ReadBatch(const uint64_t* ids, void* const* bufs,
                                         size_t n) {
-  if (n == 0) return Status::OK();
-  VEM_RETURN_IF_ERROR(FanOutRead(ids, bufs, n, /*counted=*/true));
-  stats_.Charge(/*write=*/false, n, CountWaves(ids, n), n * block_size_);
+  VEM_RETURN_IF_ERROR(ReadBatchUncounted(ids, bufs, n));
+  Account(/*write=*/false, ids, n);
   return Status::OK();
 }
 
 Status IndependentDiskDevice::WriteBatch(const uint64_t* ids,
                                          const void* const* bufs, size_t n) {
-  if (n == 0) return Status::OK();
-  VEM_RETURN_IF_ERROR(FanOutWrite(ids, bufs, n, /*counted=*/true));
-  // Independent-head charging, same rule as ReadBatch: every block
-  // counted, one parallel step per wave of distinct disks. Randomized
-  // cycling makes any D consecutive allocations a full wave, so grouped
-  // write-behind scatters at the same D-way rate forecast reads gather.
-  stats_.Charge(/*write=*/true, n, CountWaves(ids, n), n * block_size_);
+  // Same rule both ways: every block charged on its child, one parallel
+  // step per wave of distinct disks. Randomized cycling makes any D
+  // consecutive allocations a full wave, so grouped write-behind
+  // scatters at the same D-way rate forecast reads gather.
+  VEM_RETURN_IF_ERROR(WriteBatchUncounted(ids, bufs, n));
+  Account(/*write=*/true, ids, n);
   return Status::OK();
 }
 
@@ -987,7 +850,7 @@ Status IndependentDiskDevice::ReadUncounted(uint64_t id, void* buf) {
   }
   BlockDevice* disk = disks_[l.disk].get();
   if (RedundancyArmed() && DiskDegraded(l.disk)) {
-    return DegradedReadBlock(id, l, buf, /*counted=*/false);
+    return DegradedReadBlock(id, buf);
   }
   Status s;
   if (retry_ == nullptr) {
@@ -1004,7 +867,7 @@ Status IndependentDiskDevice::ReadUncounted(uint64_t id, void* buf) {
     }
     if (s.IsIOError()) {
       MarkDiskDead(l.disk);
-      return DegradedReadBlock(id, l, buf, /*counted=*/false);
+      return DegradedReadBlock(id, buf);
     }
   }
   return s;
@@ -1013,7 +876,7 @@ Status IndependentDiskDevice::ReadUncounted(uint64_t id, void* buf) {
 Status IndependentDiskDevice::WriteUncounted(uint64_t id, const void* buf) {
   if (RedundancyArmed()) {
     const void* one = buf;
-    return FanOutWrite(&id, &one, 1, /*counted=*/false);
+    return FanOutWrite(&id, &one, 1);
   }
   Loc l;
   if (!valid_ || !Lookup(id, &l)) {
@@ -1029,29 +892,28 @@ Status IndependentDiskDevice::WriteUncounted(uint64_t id, const void* buf) {
 Status IndependentDiskDevice::ReadBatchUncounted(const uint64_t* ids,
                                                  void* const* bufs, size_t n) {
   if (n == 0) return Status::OK();
-  return FanOutRead(ids, bufs, n, /*counted=*/false);
+  return FanOutRead(ids, bufs, n);
 }
 
 Status IndependentDiskDevice::WriteBatchUncounted(const uint64_t* ids,
                                                   const void* const* bufs,
                                                   size_t n) {
   if (n == 0) return Status::OK();
-  return FanOutWrite(ids, bufs, n, /*counted=*/false);
+  return FanOutWrite(ids, bufs, n);
 }
 
 void IndependentDiskDevice::Account(bool write, const uint64_t* ids,
                                     uint64_t n) {
   // Id-less: sequential per-block steps, parent only (see header). With
-  // ids, mirror the counted ReadBatch/WriteBatch exactly: every block
-  // charged on its child (a child's counted batch charges one op per
-  // block, so per-block child charges match whatever grouping served
+  // ids — the counted ReadBatch/WriteBatch's own charge — every block is
+  // charged on its child (one op per block, whatever grouping served
   // them), wave-packed parallel steps on the parent.
   uint64_t steps = n;
   if (ids != nullptr && n == 1) {
     // One-block fast path: the hottest counting call in the repo (every
-    // armed stream charges each consumed block here), and one block is
-    // trivially one wave — skip CountWaves' scratch vector and second
-    // lock acquisition.
+    // counted Read/Write and every block an armed stream consumes
+    // charges here), and one block is trivially one wave — skip
+    // CountWaves' scratch vector and second lock acquisition.
     Loc l;
     if (Lookup(ids[0], &l)) disks_[l.disk]->Account(write, nullptr, 1);
   } else if (ids != nullptr) {

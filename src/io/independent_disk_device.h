@@ -17,7 +17,7 @@
 //    distinct disks while long-range placement stays uniform random.
 //    That is what lets a forecast-scheduled merge keep every head busy
 //    (Vitter–Hutchinson randomized cycling);
-//  - batched access: the counted ReadBatch packs its ids greedily, in
+//  - batched access: a counted ReadBatch packs its ids greedily, in
 //    order, into "waves" of distinct disks and charges ONE parallel
 //    step per wave (block_reads still count every block). A sequential
 //    one-block-at-a-time consumer charges one step per block, exactly
@@ -29,15 +29,17 @@
 //    K-block groups through WriteBatch, or the uncounted plane plus an
 //    id-aware Account) is the write side.
 //
-// Engine integration: every per-disk fan-out (counted batches and the
-// uncounted plane) is submitted as one job per disk, tagged with the
-// child device, so the IoEngine's per-disk queues and in-flight caps
-// model one transfer per head — a slow disk delays only its own queue.
+// Engine integration: every per-disk fan-out is submitted as one job per
+// disk, tagged with the child device, so the IoEngine's per-disk queues
+// and in-flight caps model one transfer per head — a slow disk delays
+// only its own queue.
 //
-// Uncounted plane + deferred accounting: forwarded per child like
-// StripedDevice; an id-aware Account routes each charge to the child
-// that physically served the block, so IoStats — parent and children —
-// are bit-identical with overlap on or off.
+// Accounting: every transfer — counted or not — runs on the children's
+// uncounted plane; the counted ops are that transfer plus an id-aware
+// Account, which routes each charge to the block's home child and packs
+// the parent's parallel steps into waves. Streams defer the same call,
+// so IoStats — parent and children — are bit-identical with overlap on
+// or off, and a failed op charges nothing anywhere.
 //
 // ---------------------------------------------------- redundancy plane
 //
@@ -67,8 +69,9 @@
 // bit-identical healthy vs degraded. Placement with redundancy armed
 // deliberately IGNORES quarantine (unlike the kNone divert below), so
 // the allocation sequence — and thus every wave count — cannot depend
-// on when a head died; degraded paths charge the home child through
-// its Account hook exactly as the healthy transfer would have. All
+// on when a head died; the charge is Account's placement-routed one
+// whichever path served the block, so a degraded transfer charges the
+// home child exactly as the healthy transfer would have. All
 // physical redundancy traffic (parity RMW, mirror copies,
 // reconstruction reads, rebuild drains) rides RedundancyStats, a gauge
 // as separate from IoStats as the retry plane's.
@@ -125,16 +128,13 @@ class IndependentDiskDevice final : public BlockDevice {
   bool valid() const { return valid_; }
 
   size_t block_size() const override { return block_size_; }
-  Status Read(uint64_t id, void* buf) override;
-  Status Write(uint64_t id, const void* buf) override;
 
-  /// Counted batches with independent-head accounting: n block
-  /// transfers, but parallel steps = the number of waves the greedy
-  /// in-order packing needs (a wave ends when a disk would repeat).
-  /// Transfers fan out as one child batch per disk — engine-parallel,
-  /// disk-tagged jobs when an engine is attached. Both directions
-  /// charge waves; per-block consumers keep per-block steps because
-  /// they call Read/Write one block at a time.
+  /// Counted batches with independent-head accounting: the uncounted
+  /// batch, then Account(ids) — n block transfers, but parallel steps =
+  /// the number of waves the greedy in-order packing needs (a wave ends
+  /// when a disk would repeat). Both directions charge waves; per-block
+  /// consumers keep per-block steps because they call Read/Write one
+  /// block at a time.
   Status ReadBatch(const uint64_t* ids, void* const* bufs, size_t n) override;
   Status WriteBatch(const uint64_t* ids, const void* const* bufs,
                     size_t n) override;
@@ -153,7 +153,7 @@ class IndependentDiskDevice final : public BlockDevice {
                              size_t n) override;
 
   /// With ids, charges each block on its child and one parallel step
-  /// per wave of distinct disks — the counted ReadBatch/WriteBatch's
+  /// per wave of distinct disks — what the counted ReadBatch/WriteBatch
   /// charge. Id-less, it charges this device only (sequential per-block
   /// steps): it cannot know which child served the block, so every
   /// stream/pool path passes ids.
@@ -286,24 +286,21 @@ class IndependentDiskDevice final : public BlockDevice {
   };
 
   /// Group a batch per disk (preserving order within each disk) and run
-  /// one child batch per disk — engine-parallel with disk-tagged jobs
-  /// when an engine is attached, sequential otherwise. `counted` uses
-  /// the children's counted plane. Healthy-path only; redundancy-armed
-  /// batches go through FanOutRead / FanOutWrite below.
-  Status FanOut(const uint64_t* ids, void* const* bufs, size_t n, bool write,
-                bool counted);
+  /// one uncounted child batch per disk — engine-parallel with
+  /// disk-tagged jobs when an engine is attached, sequential otherwise.
+  /// Healthy-path only; redundancy-armed batches go through FanOutRead /
+  /// FanOutWrite below.
+  Status FanOut(const uint64_t* ids, void* const* bufs, size_t n, bool write);
 
   /// Redundancy-aware batch read: degraded heads' blocks reconstruct in
   /// the caller thread, healthy heads fan out as usual, and a head that
-  /// fails permanently MID-batch is latched dead, its child charges
-  /// topped up to the healthy count, and its blocks reconstructed.
-  Status FanOutRead(const uint64_t* ids, void* const* bufs, size_t n,
-                    bool counted);
+  /// fails permanently MID-batch is latched dead and its blocks
+  /// reconstructed.
+  Status FanOutRead(const uint64_t* ids, void* const* bufs, size_t n);
   /// Redundancy-aware batch write: parity read-modify-write (or
   /// full-stripe) under parity_mu_, data writes fanned out to live
   /// heads, dead heads' content carried by the redundancy plane alone.
-  Status FanOutWrite(const uint64_t* ids, const void* const* bufs, size_t n,
-                     bool counted);
+  Status FanOutWrite(const uint64_t* ids, const void* const* bufs, size_t n);
 
   /// Placement lookup under the shared lock; false for unknown ids.
   bool Lookup(uint64_t id, Loc* out) const;
@@ -329,10 +326,8 @@ class IndependentDiskDevice final : public BlockDevice {
   /// rebuild recomputes parity from members).
   Status ApplyParityLocked(uint64_t g, const char* delta, bool absolute);
 
-  /// Serve a single degraded read: reconstruct under parity_mu_, then
-  /// (counted only) charge the home child's deferred plane — the exact
-  /// charge its healthy synchronous Read would have recorded.
-  Status DegradedReadBlock(uint64_t id, const Loc& l, void* buf, bool counted);
+  /// Serve a single degraded read: reconstruct under parity_mu_.
+  Status DegradedReadBlock(uint64_t id, void* buf);
 
   bool RedundancyArmed() const { return redundancy_ != Redundancy::kNone; }
   void MarkWrittenShared(const uint64_t* ids, size_t n);

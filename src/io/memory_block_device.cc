@@ -28,22 +28,6 @@ Status MemoryBlockDevice::WriteUncounted(uint64_t id, const void* buf) {
   return Status::OK();
 }
 
-Status MemoryBlockDevice::Read(uint64_t id, void* buf) {
-  VEM_RETURN_IF_ERROR(ReadUncounted(id, buf));
-  stats_.block_reads++;
-  stats_.parallel_reads++;
-  stats_.bytes_read += block_size_;
-  return Status::OK();
-}
-
-Status MemoryBlockDevice::Write(uint64_t id, const void* buf) {
-  VEM_RETURN_IF_ERROR(WriteUncounted(id, buf));
-  stats_.block_writes++;
-  stats_.parallel_writes++;
-  stats_.bytes_written += block_size_;
-  return Status::OK();
-}
-
 uint64_t MemoryBlockDevice::Allocate() {
   uint64_t id;
   if (!free_list_.empty()) {

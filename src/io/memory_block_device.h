@@ -20,14 +20,13 @@ class MemoryBlockDevice final : public BlockDevice {
   explicit MemoryBlockDevice(size_t block_size);
 
   size_t block_size() const override { return block_size_; }
-  Status Read(uint64_t id, void* buf) override;
-  Status Write(uint64_t id, const void* buf) override;
 
-  // Uncounted plane for read-ahead/write-behind streams. Synchronous only
-  // (SupportsAsync stays false): block storage is a growable vector, so
-  // engine-thread transfers could race Allocate. Wall-clock overlap is
-  // pointless on RAM anyway; supporting the plane lets the stats-identity
-  // contract be exercised on the deterministic device.
+  // Uncounted plane, and through the base class the counted Read/Write
+  // too. Synchronous only (SupportsAsync stays false): block storage is
+  // a growable vector, so engine-thread transfers could race Allocate.
+  // Wall-clock overlap is pointless on RAM anyway; supporting the plane
+  // lets the stats-identity contract be exercised on the deterministic
+  // device.
   bool SupportsUncounted() const override { return true; }
   Status ReadUncounted(uint64_t id, void* buf) override;
   Status WriteUncounted(uint64_t id, const void* buf) override;

@@ -131,25 +131,6 @@ void StripedDevice::Account(bool write, const uint64_t* ids, uint64_t n) {
   stats_.Charge(write, n * disks_.size(), n, n * logical_block_size_);
 }
 
-Status StripedDevice::Read(uint64_t id, void* buf) {
-  char* out = static_cast<char*>(buf);
-  VEM_RETURN_IF_ERROR(ParallelStep([&](size_t d) {
-    return disks_[d]->Read(id, out + d * child_block_size_);
-  }));
-  // All D stripes move in one PDM step.
-  stats_.Charge(/*write=*/false, disks_.size(), 1, logical_block_size_);
-  return Status::OK();
-}
-
-Status StripedDevice::Write(uint64_t id, const void* buf) {
-  const char* in = static_cast<const char*>(buf);
-  VEM_RETURN_IF_ERROR(ParallelStep([&](size_t d) {
-    return disks_[d]->Write(id, in + d * child_block_size_);
-  }));
-  stats_.Charge(/*write=*/true, disks_.size(), 1, logical_block_size_);
-  return Status::OK();
-}
-
 uint64_t StripedDevice::Allocate() {
   if (!valid_) return 0;  // transfers on this id fail with InvalidArgument
   // Children allocate in lockstep so one logical id addresses the same

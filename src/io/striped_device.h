@@ -20,9 +20,9 @@
 // back to synchronous. One uncounted batch of n logical blocks becomes D
 // child batches — each disk moves its stripes of all n blocks in one
 // vectored child call, and the D calls run engine-parallel (one parallel
-// step per batch). Deferred accounting mirrors the counted plane exactly:
-// Account charges every child plus one parallel step per logical block,
-// so IoStats are bit-identical with overlap on or off.
+// step per batch). The counted Read/Write are the base class's uncounted
+// transfer plus Account, which charges every child plus one parallel step
+// per logical block, so IoStats are bit-identical with overlap on or off.
 #pragma once
 
 #include <atomic>
@@ -57,8 +57,6 @@ class StripedDevice final : public BlockDevice {
   bool valid() const { return valid_; }
 
   size_t block_size() const override { return logical_block_size_; }
-  Status Read(uint64_t id, void* buf) override;
-  Status Write(uint64_t id, const void* buf) override;
 
   // Uncounted plane (see file comment). Supported when every child
   // supports it; async-capable when every child is, in which case a
@@ -73,11 +71,11 @@ class StripedDevice final : public BlockDevice {
   Status WriteBatchUncounted(const uint64_t* ids, const void* const* bufs,
                              size_t n) override;
 
-  /// Deferred accounting for uncounted logical-block transfers: charge
-  /// each child for its stripe and this device for D physical blocks and
-  /// one parallel step per logical block — the identical totals the
-  /// counted Read/Write path records. Striping touches every child per
-  /// logical block, so the ids do not change the charge.
+  /// Accounting for logical-block transfers: charge each child for its
+  /// stripe and this device for D physical blocks and one parallel step
+  /// per logical block (all D stripes move in one PDM step). Striping
+  /// touches every child per logical block, so the ids do not change the
+  /// charge.
   void Account(bool write, const uint64_t* ids, uint64_t n) override;
 
   /// Forwards the engine to every child: children execute the physical

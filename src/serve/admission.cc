@@ -44,9 +44,7 @@ Status AdmissionController::Admit(const std::string& name, double priority,
   if (queue_.empty()) {
     auto tenant = arbiter_->RegisterTenant(name, priority, min_floor_blocks);
     if (tenant != nullptr) {
-      stats_.admitted++;
-      stats_.active++;
-      *out = AdmissionTicket(this, std::move(tenant));
+      GrantLocked(std::move(tenant), out);
       return Status::OK();
     }
   }
@@ -67,10 +65,8 @@ Status AdmissionController::Admit(const std::string& name, double priority,
       if (tenant != nullptr) {
         queue_.pop_front();
         stats_.waiting--;
-        stats_.admitted++;
-        stats_.active++;
         cv_.notify_all();  // the next head may also fit
-        *out = AdmissionTicket(this, std::move(tenant));
+        GrantLocked(std::move(tenant), out);
         return Status::OK();
       }
     }
@@ -107,10 +103,14 @@ Status AdmissionController::TryAdmit(const std::string& name, double priority,
     stats_.shed_queue_full++;
     return Status::Busy("tenant floors oversubscribed");
   }
-  stats_.admitted++;
-  stats_.active++;
-  *out = AdmissionTicket(this, std::move(tenant));
+  GrantLocked(std::move(tenant), out);
   return Status::OK();
+}
+
+void AdmissionController::GrantLocked(std::unique_ptr<TenantLease> tenant,
+                                      AdmissionTicket* out) {
+  *out = AdmissionTicket(this, std::move(tenant), stats_.admitted++);
+  stats_.active++;
 }
 
 AdmissionController::Stats AdmissionController::stats() const {

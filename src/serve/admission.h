@@ -71,6 +71,7 @@ class AdmissionTicket {
     Release();
     ctrl_ = o.ctrl_;
     tenant_ = std::move(o.tenant_);
+    seq_ = o.seq_;
     o.ctrl_ = nullptr;
     return *this;
   }
@@ -87,6 +88,10 @@ class AdmissionTicket {
   /// the controller's active count — destroy the context (which frees
   /// the floor) BEFORE the ticket so the queue head wakes to real room.
   std::unique_ptr<TenantLease> TakeTenant() { return std::move(tenant_); }
+  /// 0-based position of this admission in the controller's grant
+  /// order, fixed under its lock at the moment of the grant (so it
+  /// states the FIFO order even when the admitted threads race later).
+  uint64_t admission_seq() const { return seq_; }
 
   /// Free the floor and wake the admission queue. Idempotent.
   void Release();
@@ -94,11 +99,12 @@ class AdmissionTicket {
  private:
   friend class AdmissionController;
   AdmissionTicket(AdmissionController* ctrl,
-                  std::unique_ptr<TenantLease> tenant)
-      : ctrl_(ctrl), tenant_(std::move(tenant)) {}
+                  std::unique_ptr<TenantLease> tenant, uint64_t seq)
+      : ctrl_(ctrl), tenant_(std::move(tenant)), seq_(seq) {}
 
   AdmissionController* ctrl_ = nullptr;
   std::unique_ptr<TenantLease> tenant_;
+  uint64_t seq_ = 0;
 };
 
 /// Front door for a shared-arbiter serving plane; see file comment.
@@ -154,6 +160,8 @@ class AdmissionController {
  private:
   friend class AdmissionTicket;
   void OnTicketRelease();
+  /// Count a grant and hand `tenant` out as a ticket (mu_ held).
+  void GrantLocked(std::unique_ptr<TenantLease> tenant, AdmissionTicket* out);
 
   MemoryArbiter* arbiter_;
   Config cfg_;

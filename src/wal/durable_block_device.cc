@@ -46,46 +46,31 @@ void DurableBlockDevice::ExtendInnerTo(uint64_t id) {
 }
 
 Status DurableBlockDevice::Read(uint64_t id, void* buf) {
-  if (wal_ != nullptr) {
+  if (wal_ == nullptr) return BlockDevice::Read(id, buf);
+  {
     std::lock_guard<std::mutex> lk(mu_);
     auto it = pending_.find(id);
     if (it != pending_.end()) {
       // Uncommitted image lives only in the overlay; still one block
       // read of this device as far as the algorithm is concerned.
       std::memcpy(buf, it->second.data(), block_size());
-      stats_.block_reads++;
-      stats_.parallel_reads++;
-      stats_.bytes_read += block_size();
+      stats_.Charge(/*write=*/false, 1, 1, block_size());
       return Status::OK();
     }
     if (id >= inner_->num_allocated()) {
       // Allocated via the journaled map but never written: zeros.
       std::memset(buf, 0, block_size());
-      stats_.block_reads++;
-      stats_.parallel_reads++;
-      stats_.bytes_read += block_size();
+      stats_.Charge(/*write=*/false, 1, 1, block_size());
       return Status::OK();
     }
   }
-  Status s = inner_->Read(id, buf);
-  if (s.ok()) {
-    stats_.block_reads++;
-    stats_.parallel_reads++;
-    stats_.bytes_read += block_size();
-  }
-  return s;
+  VEM_RETURN_IF_ERROR(inner_->Read(id, buf));
+  stats_.Charge(/*write=*/false, 1, 1, block_size());
+  return Status::OK();
 }
 
 Status DurableBlockDevice::Write(uint64_t id, const void* buf) {
-  if (wal_ == nullptr) {
-    Status s = inner_->Write(id, buf);
-    if (s.ok()) {
-      stats_.block_writes++;
-      stats_.parallel_writes++;
-      stats_.bytes_written += block_size();
-    }
-    return s;
-  }
+  if (wal_ == nullptr) return BlockDevice::Write(id, buf);
   std::lock_guard<std::mutex> lk(mu_);
   uint64_t lsn = 0;
   VEM_RETURN_IF_ERROR(wal_->Append(wal::RecordType::kBlockImage, cur_txn_, id,
@@ -93,9 +78,21 @@ Status DurableBlockDevice::Write(uint64_t id, const void* buf) {
   auto& img = pending_[id];
   img.assign(static_cast<const char*>(buf),
              static_cast<const char*>(buf) + block_size());
-  stats_.block_writes++;
-  stats_.parallel_writes++;
-  stats_.bytes_written += block_size();
+  stats_.Charge(/*write=*/true, 1, 1, block_size());
+  return Status::OK();
+}
+
+Status DurableBlockDevice::ReadBatch(const uint64_t* ids, void* const* bufs,
+                                     size_t n) {
+  if (wal_ == nullptr) return BlockDevice::ReadBatch(ids, bufs, n);
+  for (size_t i = 0; i < n; ++i) VEM_RETURN_IF_ERROR(Read(ids[i], bufs[i]));
+  return Status::OK();
+}
+
+Status DurableBlockDevice::WriteBatch(const uint64_t* ids,
+                                      const void* const* bufs, size_t n) {
+  if (wal_ == nullptr) return BlockDevice::WriteBatch(ids, bufs, n);
+  for (size_t i = 0; i < n; ++i) VEM_RETURN_IF_ERROR(Write(ids[i], bufs[i]));
   return Status::OK();
 }
 

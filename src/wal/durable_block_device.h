@@ -3,11 +3,12 @@
 //
 // Two modes, chosen at construction:
 //
-//  WAL OFF (null WalManager): a pure pass-through. Every call forwards
-//  to the inner device; this wrapper charges its own IoStats exactly as
-//  the counted plane would (the FaultyBlockDevice pattern), so inserting
-//  it changes no counter anywhere — the engine's standing IoStats
-//  identity holds bit-for-bit.
+//  WAL OFF (null WalManager): a pure pass-through. The uncounted plane
+//  and Account forward to the inner device, and the counted Read/Write
+//  are the base class's transfer-plus-Account built on them; Account
+//  also charges this wrapper per block (the FaultyBlockDevice pattern),
+//  so inserting it changes no counter anywhere — the engine's standing
+//  IoStats identity holds bit-for-bit.
 //
 //  WAL ON: no-steal journaling. Write() appends the block's after-image
 //  to the log and parks it in an in-memory pending overlay — the inner
@@ -85,6 +86,11 @@ class DurableBlockDevice final : public BlockDevice {
   size_t block_size() const override;
   Status Read(uint64_t id, void* buf) override;
   Status Write(uint64_t id, const void* buf) override;
+  /// Journaling mode loops the Read/Write above (it has no uncounted
+  /// plane for the base batch loop); pass-through mode is the base's.
+  Status ReadBatch(const uint64_t* ids, void* const* bufs, size_t n) override;
+  Status WriteBatch(const uint64_t* ids, const void* const* bufs,
+                    size_t n) override;
 
   /// Pass-through mode forwards the uncounted plane; journaling mode has
   /// none (every write must pass through the log).

@@ -105,18 +105,21 @@ TEST(Admission, QueueIsFifoHeadOfLine) {
   // A needs 48 blocks (blocked: 56 + 48 > 64). B needs 8 and WOULD fit
   // right now — but FIFO head-of-line blocking makes it wait behind A,
   // or a stream of small queries would starve the large waiter forever.
-  std::atomic<int> order{0};
+  // Order is read from each ticket's grant sequence, fixed under the
+  // controller's lock: counting after Admit returns would race the two
+  // admitted threads against each other.
+  const uint64_t first = big.admission_seq() + 1;
   int admitted_a = -1, admitted_b = -1;
   std::thread ta([&] {
     AdmissionTicket t;
     ASSERT_TRUE(ctrl.Admit("a", 1.0, 48, 0, &t).ok());
-    admitted_a = order.fetch_add(1);
+    admitted_a = static_cast<int>(t.admission_seq() - first);
   });
   while (ctrl.stats().waiting < 1) std::this_thread::yield();
   std::thread tb([&] {
     AdmissionTicket t;
     ASSERT_TRUE(ctrl.Admit("b", 1.0, 8, 0, &t).ok());
-    admitted_b = order.fetch_add(1);
+    admitted_b = static_cast<int>(t.admission_seq() - first);
   });
   while (ctrl.stats().waiting < 2) std::this_thread::yield();
   // B fits behind big (56+8 = 64) but must not jump the queue.

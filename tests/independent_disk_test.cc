@@ -5,6 +5,12 @@
 //  - independent-head accounting: counted batches charge one parallel
 //    step per wave of distinct disks, single transfers one step each,
 //    and a no-fault wrapper leaves those charges unchanged;
+//  - counted = uncounted + Account on every device stack (memory, file,
+//    striped, independent heads under each redundancy mode, a no-fault
+//    wrapper and a WAL-off durable wrapper over them, the durable one
+//    over a file too): one op
+//    script on both planes leaves equal contents and equal IoStats on
+//    every device of the stack;
 //  - stats identity (parent AND children) for streamed scan/write and
 //    the forecast-merged external sort: engine on vs off at the same
 //    depth must match bit for bit (the two-plane contract), and every
@@ -33,6 +39,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -48,8 +55,10 @@
 #include "io/memory_block_device.h"
 #include "io/prefetch_governor.h"
 #include "io/retry_policy.h"
+#include "io/striped_device.h"
 #include "sort/external_sort.h"
 #include "util/random.h"
+#include "wal/durable_block_device.h"
 
 namespace vem {
 namespace {
@@ -222,6 +231,202 @@ TEST(IndependentDiskAccounting, SingleTransfersChargeOneStepEach) {
   EXPECT_EQ(d.parallel_reads, 6u);  // one head at a time: no batch, no win
   EXPECT_EQ(d.block_writes, 6u);
   EXPECT_EQ(d.parallel_writes, 6u);
+}
+
+// ------------------------------------ counted = uncounted + Account
+
+// One device stack: the device a script drives (top), and a snapshot of
+// every device in it — parent, children and wrapped devices alike.
+struct Stack {
+  std::vector<std::unique_ptr<BlockDevice>> owned;
+  BlockDevice* top = nullptr;
+  std::vector<std::function<IoStats()>> layers;
+
+  BlockDevice* Own(std::unique_ptr<BlockDevice> dev) {
+    owned.push_back(std::move(dev));
+    BlockDevice* d = owned.back().get();
+    layers.push_back([d] { return d->stats(); });
+    top = d;
+    return d;
+  }
+  // Adds an IndependentDiskDevice and each of its child disks.
+  IndependentDiskDevice* OwnIndependent(Redundancy mode) {
+    auto dev = std::make_unique<IndependentDiskDevice>(4, kBlock, kSeed);
+    dev->SetRedundancy(mode);
+    IndependentDiskDevice* raw = dev.get();
+    Own(std::move(dev));
+    for (size_t d = 0; d < raw->num_disks(); ++d) {
+      layers.push_back([raw, d] { return raw->disk_stats(d); });
+    }
+    return raw;
+  }
+  std::vector<IoStats> Snapshot() const {
+    std::vector<IoStats> out;
+    for (const auto& l : layers) out.push_back(l());
+    return out;
+  }
+};
+
+Stack MakeStack(const std::string& kind, const std::string& tag) {
+  Stack s;
+  const std::string path = ScratchPath("stack_" + kind + "_" + tag);
+  if (kind == "memory") {
+    s.Own(std::make_unique<MemoryBlockDevice>(kBlock));
+  } else if (kind == "file") {
+    s.Own(std::make_unique<FileBlockDevice>(path, kBlock));
+  } else if (kind == "striped2") {
+    auto dev = std::make_unique<StripedDevice>(2, kBlock / 2);
+    StripedDevice* raw = dev.get();
+    s.Own(std::move(dev));
+    for (size_t d = 0; d < raw->num_disks(); ++d) {
+      s.layers.push_back([raw, d] { return raw->disk_stats(d); });
+    }
+  } else if (kind == "indep4-none") {
+    s.OwnIndependent(Redundancy::kNone);
+  } else if (kind == "indep4-parity") {
+    s.OwnIndependent(Redundancy::kParity);
+  } else if (kind == "indep4-mirror") {
+    s.OwnIndependent(Redundancy::kMirror);
+  } else if (kind == "faulty-indep4") {
+    BlockDevice* inner = s.OwnIndependent(Redundancy::kNone);
+    s.Own(std::make_unique<FaultyBlockDevice>(inner));
+  } else if (kind == "durable-file") {
+    BlockDevice* inner = s.Own(std::make_unique<FileBlockDevice>(path, kBlock));
+    s.Own(std::make_unique<DurableBlockDevice>(inner, /*wal=*/nullptr));
+  } else if (kind == "durable-indep4") {
+    BlockDevice* inner = s.OwnIndependent(Redundancy::kNone);
+    s.Own(std::make_unique<DurableBlockDevice>(inner, /*wal=*/nullptr));
+  }
+  return s;
+}
+
+// Drives `dev` on one plane: counted ops as they are, or each op as its
+// *Uncounted form followed by the matching Account call.
+struct PlaneDriver {
+  BlockDevice* dev;
+  bool counted;
+
+  Status Read(uint64_t id, void* buf) {
+    if (counted) return dev->Read(id, buf);
+    VEM_RETURN_IF_ERROR(dev->ReadUncounted(id, buf));
+    dev->Account(/*write=*/false, &id, 1);
+    return Status::OK();
+  }
+  Status Write(uint64_t id, const void* buf) {
+    if (counted) return dev->Write(id, buf);
+    VEM_RETURN_IF_ERROR(dev->WriteUncounted(id, buf));
+    dev->Account(/*write=*/true, &id, 1);
+    return Status::OK();
+  }
+  Status ReadBatch(const std::vector<uint64_t>& ids,
+                   std::vector<std::vector<char>>* bufs) {
+    std::vector<void*> ptrs;
+    for (auto& b : *bufs) ptrs.push_back(b.data());
+    if (counted) return dev->ReadBatch(ids.data(), ptrs.data(), ids.size());
+    VEM_RETURN_IF_ERROR(
+        dev->ReadBatchUncounted(ids.data(), ptrs.data(), ids.size()));
+    dev->Account(/*write=*/false, ids.data(), ids.size());
+    return Status::OK();
+  }
+  Status WriteBatch(const std::vector<uint64_t>& ids,
+                    const std::vector<std::vector<char>>& bufs) {
+    std::vector<const void*> ptrs;
+    for (const auto& b : bufs) ptrs.push_back(b.data());
+    if (counted) return dev->WriteBatch(ids.data(), ptrs.data(), ids.size());
+    VEM_RETURN_IF_ERROR(
+        dev->WriteBatchUncounted(ids.data(), ptrs.data(), ids.size()));
+    dev->Account(/*write=*/true, ids.data(), ids.size());
+    return Status::OK();
+  }
+};
+
+// The fixed op script: single and batched writes, single and batched
+// reads, then a small batched rewrite (a parity read-modify-write) and a
+// full read-back. Returns every block read, in order.
+std::vector<char> RunStackScript(PlaneDriver p) {
+  const size_t B = p.dev->block_size();
+  std::vector<uint64_t> ids(12);
+  for (auto& id : ids) id = p.dev->Allocate();
+  auto image = [&](size_t i, int version) {
+    std::vector<char> b(B);
+    for (size_t j = 0; j < B; ++j) b[j] = char(i * 31 + j * 7 + version);
+    return b;
+  };
+  std::vector<std::vector<char>> expect(ids.size());
+  std::vector<char> reads;
+  auto batch_of = [&](const std::vector<size_t>& idx, int version,
+                      std::vector<uint64_t>* bids) {
+    std::vector<std::vector<char>> bufs;
+    for (size_t i : idx) {
+      bids->push_back(ids[i]);
+      expect[i] = image(i, version);
+      bufs.push_back(expect[i]);
+    }
+    return bufs;
+  };
+  auto read_batch = [&](const std::vector<size_t>& idx) {
+    std::vector<uint64_t> bids;
+    for (size_t i : idx) bids.push_back(ids[i]);
+    std::vector<std::vector<char>> bufs(idx.size(), std::vector<char>(B));
+    EXPECT_TRUE(p.ReadBatch(bids, &bufs).ok());
+    for (size_t k = 0; k < idx.size(); ++k) {
+      EXPECT_EQ(bufs[k], expect[idx[k]]) << "block " << idx[k];
+      reads.insert(reads.end(), bufs[k].begin(), bufs[k].end());
+    }
+  };
+  auto read_one = [&](size_t i) {
+    std::vector<char> buf(B);
+    EXPECT_TRUE(p.Read(ids[i], buf.data()).ok());
+    EXPECT_EQ(buf, expect[i]) << "block " << i;
+    reads.insert(reads.end(), buf.begin(), buf.end());
+  };
+
+  for (size_t i = 0; i < 4; ++i) {
+    expect[i] = image(i, 1);
+    EXPECT_TRUE(p.Write(ids[i], expect[i].data()).ok());
+  }
+  std::vector<uint64_t> bids;
+  auto bufs = batch_of({4, 5, 6, 7, 8, 9, 10, 11}, 1, &bids);
+  EXPECT_TRUE(p.WriteBatch(bids, bufs).ok());
+  read_one(5);
+  read_one(0);
+  read_batch({1, 2, 3, 8, 9, 10, 11, 4});
+  bids.clear();
+  bufs = batch_of({0, 7, 3}, 2, &bids);
+  EXPECT_TRUE(p.WriteBatch(bids, bufs).ok());
+  expect[6] = image(6, 2);
+  EXPECT_TRUE(p.Write(ids[6], expect[6].data()).ok());
+  read_batch({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
+  return reads;
+}
+
+// A counted op IS the uncounted transfer plus Account: the same script
+// on both planes leaves equal contents and equal IoStats on every device
+// of every stack — the parent and each child or wrapped device.
+TEST(StackIdentity, CountedPlaneIsUncountedPlusAccount) {
+  for (const std::string kind :
+       {"memory", "file", "striped2", "indep4-none", "indep4-parity",
+        "indep4-mirror", "faulty-indep4", "durable-file",
+        "durable-indep4"}) {
+    SCOPED_TRACE(kind);
+    Stack counted = MakeStack(kind, "counted");
+    Stack deferred = MakeStack(kind, "deferred");
+    ASSERT_NE(counted.top, nullptr);
+    std::vector<char> reads_c = RunStackScript({counted.top, true});
+    std::vector<char> reads_d = RunStackScript({deferred.top, false});
+    EXPECT_EQ(reads_c, reads_d);
+    const std::vector<IoStats> sc = counted.Snapshot();
+    const std::vector<IoStats> sd = deferred.Snapshot();
+    ASSERT_EQ(sc.size(), sd.size());
+    // 2 single + 8 + 12 batched reads, 4 + 8 + 3 + 1 writes.
+    EXPECT_EQ(counted.top->stats().bytes_read, 22 * kBlock);
+    EXPECT_EQ(counted.top->stats().bytes_written, 16 * kBlock);
+    for (size_t l = 0; l < sc.size(); ++l) {
+      EXPECT_TRUE(sc[l] == sd[l]) << "layer " << l << ": counted "
+                                  << sc[l].ToString() << " vs deferred "
+                                  << sd[l].ToString();
+    }
+  }
 }
 
 // ------------------------------------------------------- stats identity

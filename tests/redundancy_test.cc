@@ -337,8 +337,8 @@ TEST(RedundancyDegraded, KillOneDiskMidSortMirrorStatsIdentical) {
 
 // Batched random reads (the PDM's other canonical workload): a head
 // fail-stopping in the MIDDLE of the batched scan leaves the counted
-// batch accounting bit-identical — mid-batch failures are topped up on
-// the dead child's deferred plane.
+// batch accounting bit-identical — the batch charges one placement-routed
+// Account after its transfer, whichever head served or reconstructed it.
 TEST(RedundancyDegraded, BatchedRandomReadsMidBatchDeathStatsIdentical) {
   auto run = [](bool kill) {
     RedundantRig rig(Redundancy::kParity);
