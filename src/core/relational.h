@@ -13,11 +13,10 @@
 // vectored syscalls. IoStats stay bit-identical either way (accounting is
 // deferred to consumption time; see block_device.h).
 //
-// DEPRECATED (trailing parameters): the `prefetch_depth` arguments are
-// superseded by the ExecutionContext overloads, where the depth and the
-// memory budget ride the context's Options instead of every call
-// signature (serve/execution_context.h). The parameterized overloads
-// stay as thin forwards for existing callers.
+// The (budget, depth) forms are the implementation; the
+// ExecutionContext overloads forward to them with the context's memory
+// budget and prefetch depth (serve/execution_context.h), so a query
+// wired by a context passes neither.
 #pragma once
 
 #include <functional>

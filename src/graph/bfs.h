@@ -13,7 +13,6 @@
 #include "core/ext_vector.h"
 #include "graph/graph.h"
 #include "sort/external_sort.h"
-#include "util/options.h"
 #include "util/status.h"
 
 namespace vem {
@@ -29,13 +28,6 @@ class ExternalBfs {
  public:
   ExternalBfs(BlockDevice* dev, size_t memory_budget_bytes)
       : dev_(dev), memory_budget_(memory_budget_bytes) {}
-
-  /// Sized from the machine configuration: M and the prefetch knob come
-  /// from Options (an attached governor/arbiter still adapts the depth).
-  ExternalBfs(BlockDevice* dev, const Options& opts)
-      : dev_(dev),
-        memory_budget_(opts.memory_budget),
-        prefetch_depth_(opts.prefetch_depth) {}
 
   /// Number of BFS levels of the last Run().
   size_t levels() const { return levels_; }

@@ -15,11 +15,9 @@
 
 #include "core/ext_vector.h"
 #include "graph/graph.h"
-#include "io/memory_arbiter.h"
 #include "search/external_pq.h"
 #include "serve/execution_context.h"
 #include "sort/external_sort.h"
-#include "util/options.h"
 #include "util/status.h"
 
 namespace vem {
@@ -45,11 +43,6 @@ class WeightedGraph {
   WeightedGraph(BlockDevice* dev, BufferPool* pool)
       : num_vertices_(0), offsets_(dev, pool), targets_(dev, pool),
         weights_(dev, pool) {}
-
-  /// Adjacency paged through an arbitrated machine memory (one M for
-  /// frames and staging; see io/memory_arbiter.h).
-  explicit WeightedGraph(ArbitratedMemory* mem)
-      : WeightedGraph(mem->device(), mem->pool()) {}
 
   /// Serving-plane wiring: adjacency paged through an ExecutionContext
   /// (one tenant of a possibly shared M; serve/execution_context.h).
@@ -113,7 +106,7 @@ class WeightedGraph {
   /// Append (target, weight) pairs of v's out-arcs.
   Status OutArcs(uint64_t v,
                  std::vector<std::pair<uint64_t, uint64_t>>* out) const {
-    uint64_t begin, end;
+    uint64_t begin = 0, end = 0;
     VEM_RETURN_IF_ERROR(offsets_.Get(v, &begin));
     VEM_RETURN_IF_ERROR(offsets_.Get(v + 1, &end));
     ExtVector<uint64_t>::Reader tr(&targets_, begin);
@@ -140,11 +133,6 @@ class SemiExternalSssp {
   SemiExternalSssp(BlockDevice* dev, BufferPool* pool,
                    size_t memory_budget_bytes)
       : dev_(dev), pool_(pool), memory_budget_(memory_budget_bytes) {}
-
-  /// Arbitrated machine memory: the tentative-distance pages (frames)
-  /// and the PQ's run streams (staging) charge one shared M.
-  SemiExternalSssp(ArbitratedMemory* mem, const Options& opts)
-      : SemiExternalSssp(mem->device(), mem->pool(), opts.memory_budget) {}
 
   /// Serving-plane wiring: distances and PQ run streams charge the
   /// context tenant's slice of M (serve/execution_context.h).

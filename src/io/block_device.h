@@ -93,7 +93,7 @@ class BlockDevice {
 
   /// Read block `id` into `buf` (must hold block_size() bytes):
   /// ReadUncounted, then on success the one-id Account. Only a device
-  /// without an uncounted plane (a journaling DurableBlockDevice)
+  /// without an uncounted plane (DurableBlockDevice, which journals)
   /// overrides it.
   virtual Status Read(uint64_t id, void* buf) {
     VEM_RETURN_IF_ERROR(ReadUncounted(id, buf));

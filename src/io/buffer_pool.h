@@ -70,7 +70,7 @@ class BufferPool {
   void Unpin(uint64_t id, bool dirty);
 
   /// Write back all dirty pages (pages stay cached). On a journaling
-  /// device (DurableBlockDevice with the WAL on) this is page-LSN gated:
+  /// device (DurableBlockDevice) this is page-LSN gated:
   /// each write-back journals the page image, and FlushAll does not
   /// return OK until the log is durable through the highest LSN those
   /// records got (BlockDevice::EnsureWalDurable) — "flushed" means

@@ -18,7 +18,6 @@
 
 #include "core/ext_vector.h"
 #include "io/buffer_pool.h"
-#include "io/memory_arbiter.h"
 #include "serve/execution_context.h"
 #include "util/status.h"
 
@@ -36,13 +35,6 @@ class BPlusTree {
     leaf_cap_ = (block_size_ - kHeaderBytes) / (sizeof(K) + sizeof(V));
     int_cap_ = (block_size_ - kHeaderBytes - 8) / (sizeof(K) + 8);
   }
-
-  /// Cache nodes in an arbitrated machine memory: the pool's frames are
-  /// a revocable lease on the shared M, so the index gains frames while
-  /// scans idle and cedes cold ones under staging pressure — at
-  /// unchanged per-operation I/O charges (io/memory_arbiter.h).
-  explicit BPlusTree(ArbitratedMemory* mem, Cmp cmp = Cmp())
-      : BPlusTree(mem->pool(), cmp) {}
 
   /// Serving-plane wiring: cache nodes in an ExecutionContext's pool —
   /// one tenant's slice of a (possibly shared) machine M

@@ -25,7 +25,6 @@
 
 #include "core/ext_vector.h"
 #include "io/block_device.h"
-#include "util/options.h"
 #include "util/status.h"
 
 namespace vem {
@@ -53,11 +52,6 @@ class BufferTree {
     root_ = NewInternal();
     nodes_[root_].children.push_back(NewLeaf());
   }
-
-  /// Sized from the machine configuration: fanout and buffer capacity
-  /// derive from Options::memory_budget (PDM M).
-  BufferTree(BlockDevice* dev, const Options& opts, Cmp cmp = Cmp())
-      : BufferTree(dev, opts.memory_budget, cmp) {}
 
   size_t fanout() const { return fanout_; }
   size_t leaf_capacity() const { return leaf_cap_; }

@@ -13,16 +13,15 @@
 //     PrefetchGovernor, BufferPool }
 // and every algorithm layer accepts it directly (BPlusTree, ExtHashTable,
 // ExternalSorter, SortMergeJoin, GroupByAggregate, Graph, Matrix, ...).
-// The Options inside the context carry the per-query knobs that used to
-// ride call signatures — prefetch_depth most of all — so the trailing
-// depth parameters on the relational/sort wrappers are deprecated in
-// favor of the context (thin forwarding overloads remain).
+// The Options inside the context carry the per-query knobs — memory
+// budget and prefetch_depth — so a query wired by a context passes
+// neither; the context overloads forward them to the (budget, depth)
+// forms that implement each operator.
 //
 // Two construction modes:
 //  - STANDALONE: the context owns a private MemoryArbiter over
-//    opts.memory_budget and registers one whole-M tenant ("main").
-//    This is exactly the ArbitratedMemory shim's shape plus engine
-//    wiring — single-query tools and tests use it.
+//    opts.memory_budget and registers one whole-M tenant ("main");
+//    engine wiring is optional. Single-query tools and tests use it.
 //  - SHARED-ARBITER: the context is ONE TENANT of a machine-wide
 //    MemoryArbiter, holding the TenantLease an AdmissionController
 //    ticket (or a direct RegisterTenant call) granted. Its pool and
@@ -51,7 +50,9 @@
 #include <utility>
 
 #include "io/block_device.h"
+#include "io/buffer_pool.h"
 #include "io/memory_arbiter.h"
+#include "io/prefetch_governor.h"
 #include "util/options.h"
 
 namespace vem {
@@ -124,8 +125,8 @@ class ExecutionContext {
   PrefetchGovernor* governor() { return &governor_; }
 
   /// The streaming read-ahead depth queries under this context use —
-  /// the Options-carried knob that replaces the deprecated trailing
-  /// prefetch_depth parameters.
+  /// the Options-carried knob the context overloads pass on to the
+  /// (budget, depth) forms.
   size_t prefetch_depth() const { return opts_.prefetch_depth; }
   /// The tenant's memory slice in bytes (PDM M for this context).
   size_t memory_budget() const { return opts_.memory_budget; }
@@ -142,9 +143,8 @@ class ExecutionContext {
   static PrefetchGovernor::Config GovernorConfig(const Options& opts,
                                                  double pool_share) {
     PrefetchGovernor::Config cfg = PrefetchGovernor::ConfigFromOptions(opts);
-    // Staging starts with the non-pool share of the tenant's slice (the
-    // same derivation ArbitratedMemory uses); from then on the budget
-    // tracks the arbiter's lease.
+    // Staging starts with the non-pool share of the tenant's slice; from
+    // then on the budget tracks the arbiter's lease.
     size_t bs = opts.block_size != 0 ? opts.block_size : 4096;
     double share = 1.0 - pool_share;
     if (share < 0.0) share = 0.0;

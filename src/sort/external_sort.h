@@ -305,10 +305,11 @@ class ExternalSorter {
 
 /// Convenience wrapper: sort with default comparator.
 ///
-/// DEPRECATED (trailing parameter): the `prefetch_depth` argument is
-/// superseded by the ExecutionContext overload below, where depth rides
-/// Options instead of every call signature. This overload stays as a
-/// thin forward for existing callers; new code should pass a context.
+/// This (budget, depth) form is the implementation: library layers that
+/// hold a budget rather than a context (ConnectedComponents, ListRanker,
+/// OrthogonalSegmentIntersection, the relational operators) call it, and
+/// the ExecutionContext overload below forwards to it with the
+/// context's budget and depth.
 template <typename T, typename Cmp = std::less<T>>
 Status ExternalSort(const ExtVector<T>& input, ExtVector<T>* output,
                     size_t memory_budget_bytes, Cmp cmp = Cmp(),

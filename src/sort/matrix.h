@@ -19,9 +19,7 @@
 #include "core/ext_vector.h"
 #include "io/block_device.h"
 #include "io/buffer_pool.h"
-#include "io/memory_arbiter.h"
 #include "serve/execution_context.h"
-#include "util/options.h"
 #include "util/status.h"
 
 namespace vem {
@@ -32,11 +30,6 @@ class ExtMatrix {
   ExtMatrix(BlockDevice* dev, size_t rows, size_t cols,
             BufferPool* pool = nullptr)
       : rows_(rows), cols_(cols), data_(dev, pool) {}
-
-  /// Tiles paged through an arbitrated machine memory (lease-backed
-  /// pool on the shared M; see io/memory_arbiter.h).
-  ExtMatrix(ArbitratedMemory* mem, size_t rows, size_t cols)
-      : ExtMatrix(mem->device(), rows, cols, mem->pool()) {}
 
   /// Serving-plane wiring: tiles paged through an ExecutionContext (one
   /// tenant of a possibly shared M; serve/execution_context.h).
@@ -112,12 +105,6 @@ inline Status TransposeTiled(const ExtMatrix& in, ExtMatrix* out,
     }
   }
   return out->data().pool()->FlushAll();
-}
-
-/// Machine-configuration overload: tile size from Options::memory_budget.
-inline Status TransposeTiled(const ExtMatrix& in, ExtMatrix* out,
-                             const Options& opts) {
-  return TransposeTiled(in, out, opts.memory_budget);
 }
 
 /// Naive transpose baseline: emit output row-major; each output row is an
@@ -201,12 +188,6 @@ inline Status MultiplyTiled(const ExtMatrix& a, const ExtMatrix& b,
     }
   }
   return c->data().pool()->FlushAll();
-}
-
-/// Machine-configuration overload: tile size from Options::memory_budget.
-inline Status MultiplyTiled(const ExtMatrix& a, const ExtMatrix& b,
-                            ExtMatrix* c, const Options& opts) {
-  return MultiplyTiled(a, b, c, opts.memory_budget);
 }
 
 }  // namespace vem

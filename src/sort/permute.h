@@ -15,7 +15,6 @@
 #include "core/ext_vector.h"
 #include "io/buffer_pool.h"
 #include "sort/external_sort.h"
-#include "util/options.h"
 #include "util/status.h"
 
 namespace vem {
@@ -150,15 +149,6 @@ Status PermuteAuto(const ExtVector<T>& input, const ExtVector<uint64_t>& dest,
   }
   if (chosen != nullptr) *chosen = PermuteStrategy::kSorting;
   return PermuteBySorting(input, dest, output, memory_budget_bytes);
-}
-
-/// Machine-configuration overload: the crossover estimate and the sort
-/// budget come from Options (M, B).
-template <typename T>
-Status PermuteAuto(const ExtVector<T>& input, const ExtVector<uint64_t>& dest,
-                   ExtVector<T>* output, const Options& opts,
-                   PermuteStrategy* chosen = nullptr) {
-  return PermuteAuto(input, dest, output, opts.memory_budget, chosen);
 }
 
 }  // namespace vem

@@ -105,13 +105,13 @@ struct Options {
   bool direct_io = false;
 
   /// Knobs for the MemoryArbiter (io/memory_arbiter.h): construct an
-  /// ArbitratedMemory from these Options to run caching frames and
-  /// prefetch staging against ONE memory budget — the BufferPool's
-  /// frames and the PrefetchGovernor's staging budget become revocable
-  /// leases on M that grow on miss/stall evidence and are reclaimed
-  /// from whichever side shows waste. Without an ArbitratedMemory the
-  /// historical fixed split stands: pool frames as constructed, staging
-  /// at M/2. Never affects IoStats either way — arbitration moves
+  /// ExecutionContext (serve/execution_context.h) from these Options to
+  /// run caching frames and prefetch staging against ONE memory budget —
+  /// the BufferPool's frames and the PrefetchGovernor's staging budget
+  /// become revocable leases on M that grow on miss/stall evidence and
+  /// are reclaimed from whichever side shows waste. Without a context
+  /// the historical fixed split stands: pool frames as constructed,
+  /// staging at M/2. Never affects IoStats either way — arbitration moves
   /// memory, not charges.
   ///
   /// Initial pool fraction of M handed to the BufferPool by the arbiter
@@ -135,11 +135,10 @@ struct Options {
   /// DurableBlockDevice journaling every block write and the block-id
   /// allocation map into an append-only, CRC-protected log; Commit() is
   /// the durability point (group-commit fsync) and ARIES-lite recovery
-  /// replays committed writes after a crash. Off (the default) the
-  /// wrapper is a pure pass-through and IoStats stay bit-identical to a
-  /// WAL-free build; on, the logical (data-plane) IoStats are unchanged
-  /// and the journal's physical writes are charged to the WAL's own
-  /// device at commit.
+  /// replays committed writes after a crash. Off (the default)
+  /// DurableStorage opens only the raw data file; on, the logical
+  /// (data-plane) IoStats are unchanged and the journal's physical
+  /// writes are charged to the WAL's own device at commit.
   bool enable_wal = false;
 
   /// Fault-tolerance plane (io/retry_policy.h): maximum number of

@@ -9,7 +9,6 @@ namespace vem {
 
 DurableBlockDevice::DurableBlockDevice(BlockDevice* inner, WalManager* wal)
     : inner_(inner), wal_(wal) {
-  if (wal_ == nullptr) return;
   if (!wal_->valid()) {
     init_status_ = wal_->status();
     return;
@@ -46,7 +45,6 @@ void DurableBlockDevice::ExtendInnerTo(uint64_t id) {
 }
 
 Status DurableBlockDevice::Read(uint64_t id, void* buf) {
-  if (wal_ == nullptr) return BlockDevice::Read(id, buf);
   {
     std::lock_guard<std::mutex> lk(mu_);
     auto it = pending_.find(id);
@@ -70,7 +68,6 @@ Status DurableBlockDevice::Read(uint64_t id, void* buf) {
 }
 
 Status DurableBlockDevice::Write(uint64_t id, const void* buf) {
-  if (wal_ == nullptr) return BlockDevice::Write(id, buf);
   std::lock_guard<std::mutex> lk(mu_);
   uint64_t lsn = 0;
   VEM_RETURN_IF_ERROR(wal_->Append(wal::RecordType::kBlockImage, cur_txn_, id,
@@ -84,20 +81,17 @@ Status DurableBlockDevice::Write(uint64_t id, const void* buf) {
 
 Status DurableBlockDevice::ReadBatch(const uint64_t* ids, void* const* bufs,
                                      size_t n) {
-  if (wal_ == nullptr) return BlockDevice::ReadBatch(ids, bufs, n);
   for (size_t i = 0; i < n; ++i) VEM_RETURN_IF_ERROR(Read(ids[i], bufs[i]));
   return Status::OK();
 }
 
 Status DurableBlockDevice::WriteBatch(const uint64_t* ids,
                                       const void* const* bufs, size_t n) {
-  if (wal_ == nullptr) return BlockDevice::WriteBatch(ids, bufs, n);
   for (size_t i = 0; i < n; ++i) VEM_RETURN_IF_ERROR(Write(ids[i], bufs[i]));
   return Status::OK();
 }
 
 Status DurableBlockDevice::Commit() {
-  if (wal_ == nullptr) return inner_->Sync();
   std::unique_lock<std::mutex> lk(mu_);
   uint64_t txn = cur_txn_;
   std::unordered_map<uint64_t, std::vector<char>> batch;
@@ -136,7 +130,6 @@ size_t DurableBlockDevice::pending_blocks() const {
 }
 
 Status DurableBlockDevice::Checkpoint() {
-  if (wal_ == nullptr) return inner_->Sync();
   std::lock_guard<std::mutex> lk(mu_);
   if (!pending_.empty()) {
     return Status::InvalidArgument(
@@ -149,34 +142,6 @@ Status DurableBlockDevice::Checkpoint() {
   return WriteCheckpointLocked();
 }
 
-bool DurableBlockDevice::SupportsUncounted() const {
-  return wal_ == nullptr && inner_->SupportsUncounted();
-}
-
-bool DurableBlockDevice::SupportsAsync() const {
-  return wal_ == nullptr && inner_->SupportsAsync();
-}
-
-Status DurableBlockDevice::ReadUncounted(uint64_t id, void* buf) {
-  if (wal_ != nullptr) {
-    return Status::NotSupported("journaling device has no uncounted plane");
-  }
-  return inner_->ReadUncounted(id, buf);
-}
-
-Status DurableBlockDevice::WriteUncounted(uint64_t id, const void* buf) {
-  if (wal_ != nullptr) {
-    return Status::NotSupported("journaling device has no uncounted plane");
-  }
-  return inner_->WriteUncounted(id, buf);
-}
-
-void DurableBlockDevice::Account(bool write, const uint64_t* ids,
-                                 uint64_t n) {
-  inner_->Account(write, ids, n);
-  BlockDevice::Account(write, nullptr, n);
-}
-
 uint64_t DurableBlockDevice::PrefetchRoute(uint64_t block_id) const {
   return inner_->PrefetchRoute(block_id);
 }
@@ -186,22 +151,17 @@ uint64_t DurableBlockDevice::EngineDiskTag(uint64_t block_id) const {
 }
 
 Status DurableBlockDevice::Sync() {
-  if (wal_ != nullptr) {
-    VEM_RETURN_IF_ERROR(wal_->SyncTo(wal_->last_lsn()));
-  }
+  VEM_RETURN_IF_ERROR(wal_->SyncTo(wal_->last_lsn()));
   return inner_->Sync();
 }
 
-uint64_t DurableBlockDevice::wal_last_lsn() const {
-  return wal_ != nullptr ? wal_->last_lsn() : 0;
-}
+uint64_t DurableBlockDevice::wal_last_lsn() const { return wal_->last_lsn(); }
 
 Status DurableBlockDevice::EnsureWalDurable(uint64_t lsn) {
-  return wal_ != nullptr ? wal_->SyncTo(lsn) : Status::OK();
+  return wal_->SyncTo(lsn);
 }
 
 uint64_t DurableBlockDevice::Allocate() {
-  if (wal_ == nullptr) return inner_->Allocate();
   std::lock_guard<std::mutex> lk(mu_);
   uint64_t id;
   if (!free_list_.empty()) {
@@ -217,10 +177,6 @@ uint64_t DurableBlockDevice::Allocate() {
 }
 
 void DurableBlockDevice::Free(uint64_t id) {
-  if (wal_ == nullptr) {
-    inner_->Free(id);
-    return;
-  }
   std::lock_guard<std::mutex> lk(mu_);
   free_list_.push_back(id);
   live_blocks_--;
@@ -230,7 +186,6 @@ void DurableBlockDevice::Free(uint64_t id) {
 }
 
 uint64_t DurableBlockDevice::num_allocated() const {
-  if (wal_ == nullptr) return inner_->num_allocated();
   std::lock_guard<std::mutex> lk(mu_);
   return live_blocks_;
 }
@@ -246,12 +201,11 @@ DurableStorage::DurableStorage(const std::string& base_path,
   data = std::make_unique<FileBlockDevice>(
       base_path, opts.block_size, /*unlink_on_close=*/!persistent,
       opts.direct_io, opts.sync_on_close, /*open_existing=*/persistent);
-  if (opts.enable_wal) {
-    WalManager::Config cfg;
-    cfg.block_size = opts.block_size;
-    cfg.group_commit_us = opts.wal_group_commit_us;
-    wal = std::make_unique<WalManager>(base_path + ".wal", cfg);
-  }
+  if (!opts.enable_wal) return;
+  WalManager::Config cfg;
+  cfg.block_size = opts.block_size;
+  cfg.group_commit_us = opts.wal_group_commit_us;
+  wal = std::make_unique<WalManager>(base_path + ".wal", cfg);
   device = std::make_unique<DurableBlockDevice>(data.get(), wal.get());
 }
 
@@ -259,8 +213,7 @@ DurableStorage::~DurableStorage() = default;
 
 bool DurableStorage::valid() const {
   return data != nullptr && data->valid() &&
-         (wal == nullptr || wal->valid()) && device != nullptr &&
-         device->valid();
+         (wal == nullptr || (wal->valid() && device->valid()));
 }
 
 Status DurableStorage::status() const {

@@ -1,29 +1,24 @@
 // DurableBlockDevice: the journaling wrapper that makes a data device
 // crash-safe, and the DurableStorage bundle that wires it from Options.
 //
-// Two modes, chosen at construction:
+// No-steal journaling: Write() appends the block's after-image to the
+// log and parks it in an in-memory pending overlay — the inner data
+// device is NOT touched. Read() serves the overlay first. At Commit()
+// the log is forced (group commit — the durability point, and the
+// moment the journal's physical writes are charged), then the pending
+// images are applied to the inner device on its uncounted plane and
+// charged one id-aware Account call per block, exactly mirroring what
+// per-block counted writes would have recorded. A crash at ANY point
+// leaves the inner device holding only committed history (possibly
+// missing the tail the log will redo); uncommitted writes vanish with
+// the overlay. Allocate/Free move to a journaled allocation map owned by
+// the wrapper (the inner device only ever grows), persisted across clean
+// closes by a checkpoint record and rebuilt by recovery otherwise.
 //
-//  WAL OFF (null WalManager): a pure pass-through. The uncounted plane
-//  and Account forward to the inner device, and the counted Read/Write
-//  are the base class's transfer-plus-Account built on them; Account
-//  also charges this wrapper per block (the FaultyBlockDevice pattern),
-//  so inserting it changes no counter anywhere — the engine's standing
-//  IoStats identity holds bit-for-bit.
-//
-//  WAL ON: no-steal journaling. Write() appends the block's after-image
-//  to the log and parks it in an in-memory pending overlay — the inner
-//  data device is NOT touched. Read() serves the overlay first. At
-//  Commit() the log is forced (group commit — the durability point, and
-//  the moment the journal's physical writes are charged), then the
-//  pending images are applied to the inner device on its uncounted plane
-//  and charged one id-aware Account call per block, exactly mirroring
-//  what per-block counted writes would have recorded. A crash at ANY
-//  point leaves the inner device holding only committed history
-//  (possibly missing the tail the log will redo); uncommitted writes
-//  vanish with the overlay.
-//  Allocate/Free move to a journaled allocation map owned by the wrapper
-//  (the inner device only ever grows), persisted across clean closes by
-//  a checkpoint record and rebuilt by recovery otherwise.
+// The wrapper has no uncounted plane (every write must pass through the
+// log), so it keeps the base defaults for SupportsUncounted/
+// SupportsAsync/Account and its own counted Read/Write. Without a WAL
+// there is nothing to wrap: use the data device directly.
 //
 // Transactions are an implicit single stream: everything between two
 // Commit() calls is one transaction. Concurrent transactions need the
@@ -47,14 +42,14 @@ namespace vem {
 
 class FileBlockDevice;
 
-/// Journaling (or pass-through) wrapper over one data device.
+/// Journaling wrapper over one data device.
 class DurableBlockDevice final : public BlockDevice {
  public:
   /// @param inner data device (not owned)
-  /// @param wal log writer (not owned); null = pass-through mode.
-  ///        When the log holds a prior incarnation's records, the
-  ///        constructor runs recovery (redo + log reset + fresh
-  ///        checkpoint); status() reports how that went.
+  /// @param wal log writer (not owned); must not be null. When the log
+  ///        holds a prior incarnation's records, the constructor runs
+  ///        recovery (redo + log reset + fresh checkpoint); status()
+  ///        reports how that went.
   DurableBlockDevice(BlockDevice* inner, WalManager* wal);
 
   ~DurableBlockDevice() override;
@@ -65,12 +60,9 @@ class DurableBlockDevice final : public BlockDevice {
   /// What construction-time recovery found (zeroes when none ran).
   const RecoveryResult& recovery() const { return recovery_; }
 
-  bool wal_enabled() const { return wal_ != nullptr; }
-
   /// Durability point: force the log through everything journaled so
   /// far, then apply the pending overlay to the data device. On OK
   /// return the transaction is durable — it survives any crash.
-  /// Pass-through mode: just Sync() the inner device.
   Status Commit();
 
   /// Uncommitted journaled writes parked in the overlay (tests).
@@ -86,20 +78,12 @@ class DurableBlockDevice final : public BlockDevice {
   size_t block_size() const override;
   Status Read(uint64_t id, void* buf) override;
   Status Write(uint64_t id, const void* buf) override;
-  /// Journaling mode loops the Read/Write above (it has no uncounted
-  /// plane for the base batch loop); pass-through mode is the base's.
+  /// Loops of the Read/Write above (there is no uncounted plane for the
+  /// base batch loop).
   Status ReadBatch(const uint64_t* ids, void* const* bufs, size_t n) override;
   Status WriteBatch(const uint64_t* ids, const void* const* bufs,
                     size_t n) override;
 
-  /// Pass-through mode forwards the uncounted plane; journaling mode has
-  /// none (every write must pass through the log).
-  bool SupportsUncounted() const override;
-  bool SupportsAsync() const override;
-  Status ReadUncounted(uint64_t id, void* buf) override;
-  Status WriteUncounted(uint64_t id, const void* buf) override;
-
-  void Account(bool write, const uint64_t* ids, uint64_t n) override;
   uint64_t PrefetchRoute(uint64_t block_id) const override;
   uint64_t EngineDiskTag(uint64_t block_id) const override;
 
@@ -120,11 +104,10 @@ class DurableBlockDevice final : public BlockDevice {
   Status WriteCheckpointLocked();
 
   BlockDevice* inner_;
-  WalManager* wal_;  // null = pass-through
+  WalManager* wal_;
   Status init_status_;
   RecoveryResult recovery_;
 
-  // Journaling-mode state (untouched in pass-through mode).
   mutable std::mutex mu_;
   std::unordered_map<uint64_t, std::vector<char>> pending_;  // overlay
   uint64_t cur_txn_ = 1;
@@ -135,11 +118,10 @@ class DurableBlockDevice final : public BlockDevice {
 
 /// Everything Options::enable_wal stands up, with one owner: the data
 /// file, the log (at `<base_path>.wal`), and the wrapper to hand to
-/// BufferPool / streams. With enable_wal off only `data` and a
-/// pass-through `device` exist and files keep scratch semantics
-/// (truncate + unlink); with it on both files persist across restarts
-/// and are reopened — construction runs recovery when the log is
-/// non-empty.
+/// BufferPool / streams. With enable_wal on both files persist across
+/// restarts and are reopened — construction runs recovery when the log
+/// is non-empty. With it off only `data` exists, a scratch file
+/// (truncate + unlink) to hand to BufferPool / streams directly.
 struct DurableStorage {
   DurableStorage(const std::string& base_path, const Options& opts);
   ~DurableStorage();
@@ -148,8 +130,8 @@ struct DurableStorage {
   Status status() const;
 
   std::unique_ptr<FileBlockDevice> data;
-  std::unique_ptr<WalManager> wal;  // null when !opts.enable_wal
-  std::unique_ptr<DurableBlockDevice> device;
+  std::unique_ptr<WalManager> wal;              // null when !opts.enable_wal
+  std::unique_ptr<DurableBlockDevice> device;  // null when !opts.enable_wal
 };
 
 }  // namespace vem

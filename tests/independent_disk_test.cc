@@ -7,10 +7,8 @@
 //    and a no-fault wrapper leaves those charges unchanged;
 //  - counted = uncounted + Account on every device stack (memory, file,
 //    striped, independent heads under each redundancy mode, a no-fault
-//    wrapper and a WAL-off durable wrapper over them, the durable one
-//    over a file too): one op
-//    script on both planes leaves equal contents and equal IoStats on
-//    every device of the stack;
+//    wrapper over them): one op script on both planes leaves equal
+//    contents and equal IoStats on every device of the stack;
 //  - stats identity (parent AND children) for streamed scan/write and
 //    the forecast-merged external sort: engine on vs off at the same
 //    depth must match bit for bit (the two-plane contract), and every
@@ -58,7 +56,6 @@
 #include "io/striped_device.h"
 #include "sort/external_sort.h"
 #include "util/random.h"
-#include "wal/durable_block_device.h"
 
 namespace vem {
 namespace {
@@ -290,12 +287,6 @@ Stack MakeStack(const std::string& kind, const std::string& tag) {
   } else if (kind == "faulty-indep4") {
     BlockDevice* inner = s.OwnIndependent(Redundancy::kNone);
     s.Own(std::make_unique<FaultyBlockDevice>(inner));
-  } else if (kind == "durable-file") {
-    BlockDevice* inner = s.Own(std::make_unique<FileBlockDevice>(path, kBlock));
-    s.Own(std::make_unique<DurableBlockDevice>(inner, /*wal=*/nullptr));
-  } else if (kind == "durable-indep4") {
-    BlockDevice* inner = s.OwnIndependent(Redundancy::kNone);
-    s.Own(std::make_unique<DurableBlockDevice>(inner, /*wal=*/nullptr));
   }
   return s;
 }
@@ -406,8 +397,7 @@ std::vector<char> RunStackScript(PlaneDriver p) {
 TEST(StackIdentity, CountedPlaneIsUncountedPlusAccount) {
   for (const std::string kind :
        {"memory", "file", "striped2", "indep4-none", "indep4-parity",
-        "indep4-mirror", "faulty-indep4", "durable-file",
-        "durable-indep4"}) {
+        "indep4-mirror", "faulty-indep4"}) {
     SCOPED_TRACE(kind);
     Stack counted = MakeStack(kind, "counted");
     Stack deferred = MakeStack(kind, "deferred");

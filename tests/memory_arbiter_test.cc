@@ -2,21 +2,29 @@
 // grow and shed in both directions, pinned-floor respect, budget
 // conservation (pool + staging charges never exceed M) — plus the
 // system-level contract: IoStats stay bit-identical with the arbiter
-// enabled, on a scan layer (governed streams) and on a pool-backed
-// structure (B+-tree through the lease-backed, ghost-charged pool).
+// enabled, on a scan layer (governed streams), on a pool-backed
+// structure (B+-tree through the lease-backed, ghost-charged pool), and
+// for every ExecutionContext overload against its explicit form.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/ext_vector.h"
+#include "core/relational.h"
+#include "graph/graph.h"
+#include "graph/sssp.h"
 #include "io/memory_arbiter.h"
 #include "io/memory_block_device.h"
 #include "search/bplus_tree.h"
+#include "search/ext_hash_table.h"
 #include "serve/execution_context.h"
+#include "sort/external_sort.h"
+#include "sort/matrix.h"
 #include "util/options.h"
 #include "util/random.h"
 
@@ -402,9 +410,9 @@ TEST(MemoryArbiterIdentity, GovernedScanMatchesSynchronousStats) {
   ASSERT_TRUE(fill(&sync_vec, 0).ok());
   std::vector<uint64_t> sync_out;
   ASSERT_TRUE(sync_vec.ReadAll(&sync_out, 0).ok());
-  // Arbitrated: governor attached by the bundle, streams lease depth.
+  // Arbitrated: governor attached by the context, streams lease depth.
   MemoryBlockDevice arb_dev(4096);
-  ArbitratedMemory mem(&arb_dev, ArbiterOptions());
+  ExecutionContext ctx(&arb_dev, ArbiterOptions());
   ExtVector<uint64_t> arb_vec(&arb_dev);
   arb_vec.set_prefetch_depth(8);
   ASSERT_TRUE(fill(&arb_vec, 8).ok());
@@ -419,16 +427,16 @@ TEST(MemoryArbiterIdentity, GovernedScanMatchesSynchronousStats) {
 /// for builds, probes and flushes.
 TEST(MemoryArbiterIdentity, BPlusTreeMatchesFixedPoolStats) {
   Options opts = ArbiterOptions();
-  const size_t kBaselineFrames = 32;  // == the bundle's pool share of M
+  const size_t kBaselineFrames = 32;  // == the context's pool share of M
   const size_t kKeys = 20000;
   auto run = [&](bool arbitrated) {
     MemoryBlockDevice dev(4096);
-    std::unique_ptr<ArbitratedMemory> mem;
+    std::unique_ptr<ExecutionContext> ctx;
     std::unique_ptr<BufferPool> fixed;
     BufferPool* pool;
     if (arbitrated) {
-      mem = std::make_unique<ArbitratedMemory>(&dev, opts);
-      pool = mem->pool();
+      ctx = std::make_unique<ExecutionContext>(&dev, opts);
+      pool = ctx->pool();
       EXPECT_EQ(pool->baseline_frames(), kBaselineFrames);
     } else {
       fixed = std::make_unique<BufferPool>(&dev, kBaselineFrames);
@@ -451,6 +459,212 @@ TEST(MemoryArbiterIdentity, BPlusTreeMatchesFixedPoolStats) {
   IoStats fixed = run(false);
   IoStats arbitrated = run(true);
   EXPECT_EQ(fixed, arbitrated);
+}
+
+/// One way to wire a query: through a standalone context (`ctx` set,
+/// `pool` its arbitrated pool), or by hand with a fixed pool of the
+/// context's baseline frames and the same budget and depth.
+struct Wiring {
+  BlockDevice* dev;
+  ExecutionContext* ctx;  // null = the explicit form
+  BufferPool* pool;
+  size_t budget;
+  size_t depth;
+};
+
+struct KeyVal {
+  uint64_t k, v;
+};
+
+std::vector<KeyVal> RandomRows(size_t n, uint64_t seed, uint64_t key_mod) {
+  Rng rng(seed);
+  std::vector<KeyVal> rows(n);
+  for (auto& r : rows) r = KeyVal{rng.Next() % key_mod, rng.Next()};
+  return rows;
+}
+
+std::vector<uint64_t> Flatten(const std::vector<KeyVal>& rows) {
+  std::vector<uint64_t> out;
+  for (const KeyVal& r : rows) {
+    out.push_back(r.k);
+    out.push_back(r.v);
+  }
+  return out;
+}
+
+/// Each context overload against its explicit form: same outputs, and
+/// the same IoStats (the context's pool ghost-charges its baseline).
+TEST(MemoryArbiterIdentity, ContextOverloadsMatchExplicitForms) {
+  Options opts = ArbiterOptions();
+  opts.prefetch_depth = 4;
+  using Run = std::function<std::vector<uint64_t>(const Wiring&)>;
+  const std::vector<std::pair<const char*, Run>> cases = {
+      {"ExtHashTable",
+       [](const Wiring& w) {
+         using Table = ExtHashTable<uint64_t, uint64_t>;
+         auto table = w.ctx ? std::make_unique<Table>(w.ctx)
+                            : std::make_unique<Table>(w.pool);
+         EXPECT_TRUE(table->Init().ok());
+         Rng rng(41);
+         for (uint64_t i = 0; i < 20000; ++i) {
+           EXPECT_TRUE(table->Insert(rng.Next() % 60000, i).ok());
+         }
+         std::vector<uint64_t> out;
+         for (uint64_t k = 0; k < 60000; k += 7) {
+           uint64_t v = ~0ull;
+           (void)table->Get(k, &v);  // NotFound leaves the marker
+           out.push_back(v);
+         }
+         EXPECT_TRUE(w.pool->FlushAll().ok());
+         return out;
+       }},
+      {"ExtGraph",
+       [](const Wiring& w) {
+         const uint64_t n = 40000;
+         std::vector<Edge> edges(60000);
+         Rng rng(43);
+         for (Edge& e : edges) e = Edge{rng.Next() % n, rng.Next() % n};
+         ExtVector<Edge> arcs(w.dev);
+         EXPECT_TRUE(arcs.AppendAll(edges.data(), edges.size()).ok());
+         auto g = w.ctx ? std::make_unique<ExtGraph>(w.ctx)
+                        : std::make_unique<ExtGraph>(w.dev, w.pool);
+         EXPECT_TRUE(g->Build(arcs, n, w.budget, /*symmetrize=*/true).ok());
+         std::vector<uint64_t> out;
+         for (int i = 0; i < 2000; ++i) {
+           EXPECT_TRUE(g->Neighbors(rng.Next() % n, &out).ok());
+         }
+         EXPECT_TRUE(w.pool->FlushAll().ok());
+         return out;
+       }},
+      {"WeightedGraph+SemiExternalSssp",
+       [](const Wiring& w) {
+         const uint64_t n = 30000;
+         std::vector<WeightedEdge> edges(90000);
+         Rng rng(47);
+         for (WeightedEdge& e : edges) {
+           e = WeightedEdge{rng.Next() % n, rng.Next() % n,
+                            1 + rng.Next() % 50};
+         }
+         ExtVector<WeightedEdge> arcs(w.dev);
+         EXPECT_TRUE(arcs.AppendAll(edges.data(), edges.size()).ok());
+         auto g = w.ctx ? std::make_unique<WeightedGraph>(w.ctx)
+                        : std::make_unique<WeightedGraph>(w.dev, w.pool);
+         EXPECT_TRUE(g->Build(arcs, n, w.budget).ok());
+         auto sssp =
+             w.ctx ? std::make_unique<SemiExternalSssp>(w.ctx)
+                   : std::make_unique<SemiExternalSssp>(w.dev, w.pool,
+                                                        w.budget);
+         ExtVector<uint64_t> dist(w.dev, w.pool);
+         EXPECT_TRUE(sssp->Run(*g, 0, &dist).ok());
+         std::vector<uint64_t> out;
+         EXPECT_TRUE(dist.ReadAll(&out).ok());
+         EXPECT_TRUE(w.pool->FlushAll().ok());
+         return out;
+       }},
+      {"ExtMatrix",
+       [](const Wiring& w) {
+         const size_t r = 256, c = 80;  // a column of tr spans 40 blocks
+         std::vector<double> vals(r * c);
+         for (size_t i = 0; i < vals.size(); ++i) vals[i] = double(i % 1009);
+         auto in = w.ctx ? std::make_unique<ExtMatrix>(w.ctx, r, c)
+                         : std::make_unique<ExtMatrix>(w.dev, r, c, w.pool);
+         auto tr = w.ctx ? std::make_unique<ExtMatrix>(w.ctx, c, r)
+                         : std::make_unique<ExtMatrix>(w.dev, c, r, w.pool);
+         auto back = w.ctx ? std::make_unique<ExtMatrix>(w.ctx, r, c)
+                           : std::make_unique<ExtMatrix>(w.dev, r, c, w.pool);
+         EXPECT_TRUE(in->Load(vals.data()).ok());
+         EXPECT_TRUE(TransposeTiled(*in, tr.get(), w.budget).ok());
+         EXPECT_TRUE(TransposeNaive(*tr, back.get()).ok());  // pool Gets
+         std::vector<double> got;
+         EXPECT_TRUE(back->data().ReadAll(&got).ok());
+         EXPECT_EQ(got, vals);
+         std::vector<uint64_t> out(got.begin(), got.end());
+         EXPECT_TRUE(w.pool->FlushAll().ok());
+         return out;
+       }},
+      {"ExternalSort",
+       [](const Wiring& w) {
+         std::vector<uint64_t> keys(60000);
+         Rng rng(53);
+         for (uint64_t& k : keys) k = rng.Next();
+         ExtVector<uint64_t> in(w.dev), sorted(w.dev);
+         EXPECT_TRUE(in.AppendAll(keys.data(), keys.size()).ok());
+         Status s = w.ctx ? ExternalSort(w.ctx, in, &sorted)
+                          : ExternalSort(in, &sorted, w.budget,
+                                         std::less<uint64_t>(), w.depth);
+         EXPECT_TRUE(s.ok());
+         std::vector<uint64_t> out;
+         EXPECT_TRUE(sorted.ReadAll(&out).ok());
+         return out;
+       }},
+      {"SortMergeJoin",
+       [](const Wiring& w) {
+         std::vector<KeyVal> l = RandomRows(20000, 59, 5000);
+         std::vector<KeyVal> r = RandomRows(5000, 61, 5000);
+         ExtVector<KeyVal> lv(w.dev), rv(w.dev), joined(w.dev);
+         EXPECT_TRUE(lv.AppendAll(l.data(), l.size()).ok());
+         EXPECT_TRUE(rv.AppendAll(r.data(), r.size()).ok());
+         std::function<uint64_t(const KeyVal&)> key = [](const KeyVal& x) {
+           return x.k;
+         };
+         std::function<KeyVal(const KeyVal&, const KeyVal&)> combine =
+             [](const KeyVal& a, const KeyVal& b) {
+               return KeyVal{a.k, a.v ^ b.v};
+             };
+         Status s =
+             w.ctx ? SortMergeJoin<KeyVal, KeyVal, KeyVal, uint64_t>(
+                         w.ctx, lv, rv, &joined, key, key, combine)
+                   : SortMergeJoin<KeyVal, KeyVal, KeyVal, uint64_t>(
+                         lv, rv, &joined, w.budget, key, key, combine,
+                         w.depth);
+         EXPECT_TRUE(s.ok());
+         std::vector<KeyVal> out;
+         EXPECT_TRUE(joined.ReadAll(&out).ok());
+         return Flatten(out);
+       }},
+      {"GroupByAggregate",
+       [](const Wiring& w) {
+         std::vector<KeyVal> rows = RandomRows(40000, 67, 997);
+         ExtVector<KeyVal> rv(w.dev), agg(w.dev);
+         EXPECT_TRUE(rv.AppendAll(rows.data(), rows.size()).ok());
+         std::function<uint64_t(const KeyVal&)> key_of =
+             [](const KeyVal& x) { return x.k; };
+         std::function<uint64_t(const uint64_t&)> init =
+             [](const uint64_t&) { return uint64_t{0}; };
+         std::function<void(uint64_t*, const KeyVal&)> fold =
+             [](uint64_t* acc, const KeyVal& x) { *acc += x.v; };
+         std::function<KeyVal(const uint64_t&, const uint64_t&)> finish =
+             [](const uint64_t& k, const uint64_t& acc) {
+               return KeyVal{k, acc};
+             };
+         Status s =
+             w.ctx ? GroupByAggregate<KeyVal, uint64_t, uint64_t, KeyVal>(
+                         w.ctx, rv, &agg, key_of, init, fold, finish)
+                   : GroupByAggregate<KeyVal, uint64_t, uint64_t, KeyVal>(
+                         rv, &agg, w.budget, key_of, init, fold, finish,
+                         w.depth);
+         EXPECT_TRUE(s.ok());
+         std::vector<KeyVal> out;
+         EXPECT_TRUE(agg.ReadAll(&out).ok());
+         return Flatten(out);
+       }},
+  };
+  for (const auto& [name, run] : cases) {
+    SCOPED_TRACE(name);
+    MemoryBlockDevice ctx_dev(4096);
+    ExecutionContext ctx(&ctx_dev, opts);
+    std::vector<uint64_t> ctx_out = run(
+        {&ctx_dev, &ctx, ctx.pool(), ctx.memory_budget(), ctx.prefetch_depth()});
+    const IoStats ctx_stats = ctx_dev.stats();
+
+    MemoryBlockDevice dev(4096);
+    BufferPool fixed(&dev, ctx.pool()->baseline_frames());
+    std::vector<uint64_t> out =
+        run({&dev, nullptr, &fixed, opts.memory_budget, opts.prefetch_depth});
+    EXPECT_FALSE(out.empty());
+    EXPECT_EQ(ctx_out, out);
+    EXPECT_EQ(ctx_stats, dev.stats());
+  }
 }
 
 /// The serving-plane contract (run under TSan in CI): two tenants

@@ -348,39 +348,35 @@ TEST(DurableDeviceTest, AllocationMapSurvivesReopen) {
   std::remove((base + ".wal").c_str());
 }
 
-// ----------------------------------------- pass-through identity
+// ------------------------------------------------------ WAL off
 
-TEST(DurableDeviceTest, WalOffIsStatsInvisible) {
-  auto workload = [](BlockDevice* d) {
-    BufferPool pool(d, 4);
-    std::vector<uint64_t> ids;
-    for (int i = 0; i < 8; ++i) {
-      uint64_t id;
-      char* data;
-      ASSERT_TRUE(pool.PinNew(&id, &data).ok());
-      FillBytes(data, d->block_size(), i);
-      pool.Unpin(id, /*dirty=*/true);
-      ids.push_back(id);
-    }
-    for (int i = 0; i < 8; i += 2) {
-      char* data;
-      ASSERT_TRUE(pool.Pin(ids[i], &data).ok());
-      pool.Unpin(ids[i], /*dirty=*/false);
-    }
-    ASSERT_TRUE(pool.FlushAll().ok());
-  };
-  MemoryBlockDevice raw(512);
-  workload(&raw);
+// With the WAL off there is nothing to journal: DurableStorage stands up
+// only the data file, a scratch file the caller drives directly.
+TEST(DurableDeviceTest, WalOffBuildsOnlyScratchData) {
+  const std::string base = ScratchPath("waloff");
+  std::remove(base.c_str());
+  std::remove((base + ".wal").c_str());
+  Options opts;
+  opts.block_size = 512;
+  opts.enable_wal = false;
 
-  MemoryBlockDevice inner(512);
-  DurableBlockDevice wrapped(&inner, /*wal=*/nullptr);
-  workload(&wrapped);
-
-  // The pass-through wrapper is invisible: the inner device sees the
-  // exact counters the bare device recorded, and the wrapper mirrors
-  // them (the standing IoStats-identity invariant with WAL off).
-  EXPECT_TRUE(inner.stats() == raw.stats());
-  EXPECT_TRUE(wrapped.stats() == raw.stats());
+  std::vector<char> img(512), got(512);
+  FillBytes(img.data(), img.size(), 5);
+  {
+    DurableStorage st(base, opts);
+    ASSERT_TRUE(st.valid()) << st.status().ToString();
+    EXPECT_EQ(st.wal, nullptr);
+    EXPECT_EQ(st.device, nullptr);
+    ASSERT_NE(st.data, nullptr);
+    uint64_t id = st.data->Allocate();
+    ASSERT_TRUE(st.data->Write(id, img.data()).ok());
+    ASSERT_TRUE(st.data->Read(id, got.data()).ok());
+    EXPECT_EQ(std::memcmp(got.data(), img.data(), 512), 0);
+    EXPECT_EQ(access(base.c_str(), F_OK), 0);
+    EXPECT_NE(access((base + ".wal").c_str(), F_OK), 0);
+  }
+  EXPECT_NE(access(base.c_str(), F_OK), 0) << "scratch data is unlinked";
+  EXPECT_NE(access((base + ".wal").c_str(), F_OK), 0);
 }
 
 // ---------------------------------------- BufferPool page-LSN gate
