@@ -20,7 +20,10 @@
 // --smoke runs a reduced sweep, writes BENCH_memory_arbiter.smoke.json
 // to the working directory (CI uploads it as an artifact), and exits
 // non-zero unless every row keeps stats_identical == 1 and
-// speedup >= 0.95 — wired into CI beside bench_prefetch_layers --smoke.
+// speedup >= 0.95 and its arbitrated pool grew past the baseline (exit
+// 3 otherwise: the identity check would not cover a resized,
+// ghost-charged pool) — wired into CI beside bench_prefetch_layers
+// --smoke.
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -45,7 +48,7 @@ constexpr size_t kBlockBytes = 4096;
 constexpr size_t kMemBytes = 2 * 1024 * 1024;
 constexpr size_t kDepth = 16;
 
-size_t g_shift = 0;  // --smoke halves the workload
+size_t g_shift = 0;  // --smoke shrinks the workload (not the index)
 
 size_t Scaled(size_t n) { return n >> g_shift; }
 
@@ -97,8 +100,11 @@ Run RunMixed(bool arbitrated, IoEngine* engine, bool direct,
   dev.set_io_engine(engine);
 
   // ---------------------------------------------------- build (untimed)
-  const size_t kKeys = Scaled(200000);     // ~3 MiB of leaves: M cannot
-  const size_t kItems = Scaled(1u << 21);  // hold both sides at once
+  // ~3 MiB of leaves: M cannot hold both sides at once. The index is
+  // never scaled — at a quarter of it the tree fits the baseline pool
+  // and the arbiter never grows it.
+  const size_t kKeys = 200000;
+  const size_t kItems = Scaled(1u << 21);
   const size_t kProbes = Scaled(30000);
   BPlusTree<uint64_t, uint64_t> tree(pool);
   Status st = tree.Init();
@@ -246,12 +252,15 @@ int main(int argc, char** argv) {
   JsonReport report("memory_arbiter");
   bool all_identical = true;
   bool all_fast_enough = true;
+  bool all_grew = true;
+  const size_t baseline_frames = kMemBytes / 2 / kBlockBytes;
   for (const Row& r : rows) {
     bool identical = r.fixed.cost == r.arbitrated.cost;
     all_identical = all_identical && identical;
     double speedup =
         r.fixed.seconds / std::max(r.arbitrated.seconds, 1e-9);
     all_fast_enough = all_fast_enough && speedup >= kMinSpeedup;
+    all_grew = all_grew && r.arbitrated.peak_pool_frames > baseline_frames;
     t.AddRow({r.name, Fmt(r.fixed.seconds, 3), Fmt(r.arbitrated.seconds, 3),
               Fmt(speedup, 2) + "x", FmtInt(r.fixed.cost.block_ios()),
               FmtInt(r.arbitrated.peak_pool_frames),
@@ -263,8 +272,7 @@ int main(int argc, char** argv) {
     report.Add(r.name, "stats_identical", identical ? 1.0 : 0.0);
     report.Add(r.name, "peak_pool_frames",
                double(r.arbitrated.peak_pool_frames));
-    report.Add(r.name, "baseline_pool_frames",
-               double(kMemBytes / 2 / kBlockBytes));
+    report.Add(r.name, "baseline_pool_frames", double(baseline_frames));
   }
   t.Print();
   std::printf(
@@ -272,7 +280,7 @@ int main(int argc, char** argv) {
       "(peak frames > %zu) while scans idle; scan/sort phases pull the\n"
       "budget back as staging. I/O counts identical in every row — the\n"
       "arbiter moves memory, never the cost model.\n",
-      kMemBytes / 2 / kBlockBytes);
+      baseline_frames);
   if (!all_identical) {
     std::printf("ERROR: arbitrated path changed IoStats — cost model "
                 "violated\n");
@@ -280,6 +288,10 @@ int main(int argc, char** argv) {
   if (smoke && !all_fast_enough) {
     std::printf("ERROR: an arbitrated row fell below %.2fx fixed\n",
                 kMinSpeedup);
+  }
+  if (smoke && !all_grew) {
+    std::printf("ERROR: an arbitrated pool never grew past %zu frames\n",
+                baseline_frames);
   }
   if (smoke) {
     // CI artifact: smoke-sized numbers, kept out of the tracked JSON.
@@ -294,5 +306,6 @@ int main(int argc, char** argv) {
   }
   if (!all_identical) return 1;
   if (smoke && !all_fast_enough) return 2;
+  if (smoke && !all_grew) return 3;
   return 0;
 }

@@ -245,39 +245,21 @@ void IndependentDiskDevice::Free(uint64_t id) {
   // between the content fix-up and the placement update.
   std::lock_guard<std::mutex> plock(parity_mu_);
   Loc l{};
-  bool was_written = false;
-  ReconPlan plan;
-  bool have_plan = false;
   {
-    std::unique_lock<std::shared_mutex> lock(loc_mu_);
+    std::shared_lock<std::shared_mutex> lock(loc_mu_);
     if (id >= loc_.size() || freed_[id]) return;
     l = loc_[id];
-    was_written = written_[id] != 0;
-    if (redundancy_ == Redundancy::kParity && was_written) {
-      have_plan = BuildReconPlan(id, /*loc_locked=*/true, &plan);
-    }
   }
-  if (redundancy_ == Redundancy::kParity && was_written) {
+  if (redundancy_ == Redundancy::kParity) {
     // XOR the departing content back out of the group parity so the
     // freed slot contributes zeros again — otherwise every later
     // reconstruction in the group would be poisoned by a ghost block.
+    // Best effort: a block that is unreadable after the retries AND
+    // unreconstructable (a double failure) leaves the group parity
+    // stale; a rebuild recomputes it.
     std::vector<char> old(block_size_);
-    Status s = Status::OK();
-    if (DiskDead(l.disk)) {
-      s = have_plan ? ExecuteReconPlan(plan, old.data())
-                    : Status::IOError("IndependentDiskDevice: dead head");
-    } else {
-      s = disks_[l.disk]->ReadUncounted(l.child_id, old.data());
-      if (s.ok()) {
-        g_parity_bytes_.fetch_add(block_size_, std::memory_order_relaxed);
-      } else if (s.IsIOError() && have_plan) {
-        MarkDiskDead(l.disk);
-        s = ExecuteReconPlan(plan, old.data());
-      }
-    }
-    // Best effort: an unreadable AND unreconstructable block (a double
-    // failure) leaves the group parity stale; a rebuild recomputes it.
-    if (s.ok()) {
+    bool written = false;
+    if (ReadOrReconstructLocked(id, old.data(), &written).ok() && written) {
       (void)ApplyParityLocked(id / group_data_, old.data(),
                               /*absolute=*/false);
     }
@@ -304,35 +286,70 @@ void IndependentDiskDevice::Free(uint64_t id) {
   if (rebuilding_disk_ >= 0) rebuild_dirty_.insert(id);
 }
 
-bool IndependentDiskDevice::BuildReconPlan(uint64_t id, bool loc_locked,
-                                           ReconPlan* out) const {
-  auto build = [&]() -> bool {
-    if (id >= loc_.size()) return false;
-    out->target = loc_[id];
-    out->written = id < written_.size() && written_[id] != 0;
-    if (redundancy_ == Redundancy::kMirror) {
-      out->use_parity = false;
-      out->mirror = mirror_[id];
-      return true;
-    }
-    out->use_parity = true;
-    const uint64_t g = id / group_data_;
-    auto it = parity_.find(g);
-    if (it == parity_.end()) return false;  // no group: nothing to rebuild
-    out->parity = Loc{it->second.disk, it->second.child_id};
-    out->parity_written = parity_written_.count(g) != 0;  // parity_mu_ held
-    const uint64_t lo = g * group_data_;
-    const uint64_t hi = lo + group_data_;
-    out->peers.clear();
-    for (uint64_t m = lo; m < hi && m < loc_.size(); ++m) {
-      if (m == id || freed_[m] || !written_[m]) continue;
-      out->peers.push_back(loc_[m]);
-    }
-    return true;
-  };
-  if (loc_locked) return build();
+bool IndependentDiskDevice::BuildReconPlan(uint64_t id, ReconPlan* out) const {
   std::shared_lock<std::shared_mutex> lock(loc_mu_);
-  return build();
+  if (id >= loc_.size()) return false;
+  out->target = loc_[id];
+  out->written = id < written_.size() && written_[id] != 0;
+  if (redundancy_ == Redundancy::kMirror) {
+    out->use_parity = false;
+    out->mirror = mirror_[id];
+    return true;
+  }
+  out->use_parity = true;
+  const uint64_t g = id / group_data_;
+  auto it = parity_.find(g);
+  if (it == parity_.end()) return false;  // no group: nothing to rebuild
+  out->parity = Loc{it->second.disk, it->second.child_id};
+  out->parity_written = parity_written_.count(g) != 0;  // parity_mu_ held
+  const uint64_t lo = g * group_data_;
+  const uint64_t hi = lo + group_data_;
+  out->peers.clear();
+  for (uint64_t m = lo; m < hi && m < loc_.size(); ++m) {
+    if (m == id || freed_[m] || !written_[m]) continue;
+    out->peers.push_back(loc_[m]);
+  }
+  return true;
+}
+
+Status IndependentDiskDevice::ReadChild(const Loc& l, void* buf) {
+  BlockDevice* d = disks_[l.disk].get();
+  if (retry_ == nullptr) return d->ReadUncounted(l.child_id, buf);
+  return RunWithDiskRetry(retry_, engine_, reinterpret_cast<uintptr_t>(d),
+                          l.child_id,
+                          [&] { return d->ReadUncounted(l.child_id, buf); });
+}
+
+Status IndependentDiskDevice::ReadMember(const Loc& l, void* buf) {
+  if (DiskDead(l.disk)) {
+    return Status::IOError(
+        "IndependentDiskDevice: double failure (surviving group member "
+        "on a dead head)");
+  }
+  Status s = ReadChild(l, buf);
+  if (s.ok()) g_parity_bytes_.fetch_add(block_size_, std::memory_order_relaxed);
+  return s;
+}
+
+Status IndependentDiskDevice::ReadOrReconstructLocked(uint64_t id, void* out,
+                                                      bool* written) {
+  ReconPlan plan;
+  if (!BuildReconPlan(id, &plan)) {
+    return Status::InvalidArgument("IndependentDiskDevice: bad block id");
+  }
+  *written = plan.written;
+  if (!plan.written) {
+    std::memset(out, 0, block_size_);
+    return Status::OK();
+  }
+  // A sick-but-alive head is still current (writes keep landing on it),
+  // so only a dead one is bypassed.
+  if (!DiskDead(plan.target.disk)) {
+    Status s = ReadMember(plan.target, out);
+    if (!s.IsIOError()) return s;
+    MarkDiskDead(plan.target.disk);
+  }
+  return ExecuteReconPlan(plan, out);
 }
 
 Status IndependentDiskDevice::ExecuteReconPlan(const ReconPlan& plan,
@@ -345,29 +362,8 @@ Status IndependentDiskDevice::ExecuteReconPlan(const ReconPlan& plan,
         "IndependentDiskDevice: degraded read of never-written block");
   }
   const size_t B = block_size_;
-  // Reconstruction reads ride the retry shim like any other transfer —
-  // a transient fault on a surviving member must not fail the rebuild
-  // of a block the healthy path would have retried through.
-  auto read_member = [&](const Loc& l, void* buf) -> Status {
-    if (DiskDead(l.disk)) {
-      return Status::IOError(
-          "IndependentDiskDevice: double failure (surviving group member "
-          "on a dead head)");
-    }
-    BlockDevice* d = disks_[l.disk].get();
-    Status s;
-    if (retry_ == nullptr) {
-      s = d->ReadUncounted(l.child_id, buf);
-    } else {
-      s = RunWithDiskRetry(retry_, engine_, reinterpret_cast<uintptr_t>(d),
-                           l.child_id,
-                           [&] { return d->ReadUncounted(l.child_id, buf); });
-    }
-    if (s.ok()) g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
-    return s;
-  };
   if (!plan.use_parity) {
-    VEM_RETURN_IF_ERROR(read_member(plan.mirror, out));
+    VEM_RETURN_IF_ERROR(ReadMember(plan.mirror, out));
     g_degraded_reads_.fetch_add(1, std::memory_order_relaxed);
     return Status::OK();
   }
@@ -381,22 +377,14 @@ Status IndependentDiskDevice::ExecuteReconPlan(const ReconPlan& plan,
   }
   std::vector<char> acc(B, 0);
   std::vector<char> tmp(B);
-  VEM_RETURN_IF_ERROR(read_member(plan.parity, acc.data()));
+  VEM_RETURN_IF_ERROR(ReadMember(plan.parity, acc.data()));
   for (const Loc& p : plan.peers) {
-    VEM_RETURN_IF_ERROR(read_member(p, tmp.data()));
+    VEM_RETURN_IF_ERROR(ReadMember(p, tmp.data()));
     for (size_t j = 0; j < B; ++j) acc[j] ^= tmp[j];
   }
   std::memcpy(out, acc.data(), B);
   g_degraded_reads_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
-}
-
-Status IndependentDiskDevice::ReconstructLocked(uint64_t id, void* out) {
-  ReconPlan plan;
-  if (!BuildReconPlan(id, /*loc_locked=*/false, &plan)) {
-    return Status::InvalidArgument("IndependentDiskDevice: bad block id");
-  }
-  return ExecuteReconPlan(plan, out);
 }
 
 Status IndependentDiskDevice::ApplyParityLocked(uint64_t g, const char* delta,
@@ -428,21 +416,17 @@ Status IndependentDiskDevice::ApplyParityLocked(uint64_t g, const char* delta,
     // Full-stripe parity (or first content in the group): the delta IS
     // the new parity — no read-modify-write.
     s = pd->WriteUncounted(pl.child_id, delta);
-    if (s.ok()) {
-      g_parity_writes_.fetch_add(1, std::memory_order_relaxed);
-      g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
-    }
   } else {
     std::vector<char> cur(B);
-    s = pd->ReadUncounted(pl.child_id, cur.data());
+    s = ReadMember(pl, cur.data());
     if (s.ok()) {
       for (size_t j = 0; j < B; ++j) cur[j] ^= delta[j];
       s = pd->WriteUncounted(pl.child_id, cur.data());
     }
-    if (s.ok()) {
-      g_parity_writes_.fetch_add(1, std::memory_order_relaxed);
-      g_parity_bytes_.fetch_add(2 * B, std::memory_order_relaxed);
-    }
+  }
+  if (s.ok()) {
+    g_parity_writes_.fetch_add(1, std::memory_order_relaxed);
+    g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
   }
   if (s.IsIOError()) {
     // The parity head just died; the data write still carries the
@@ -462,14 +446,6 @@ void IndependentDiskDevice::MarkWrittenShared(const uint64_t* ids, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     if (ids[i] < written_.size()) written_[ids[i]] = 1;
   }
-}
-
-Status IndependentDiskDevice::DegradedReadBlock(uint64_t id, void* buf) {
-  // The reconstruction's physical reads ride the gauge; the caller's
-  // Account charges the home child exactly what its healthy read would
-  // have recorded, so per-child IoStats stay bit-identical.
-  std::lock_guard<std::mutex> plock(parity_mu_);
-  return ReconstructLocked(id, buf);
 }
 
 uint64_t IndependentDiskDevice::CountWaves(const uint64_t* ids,
@@ -497,141 +473,103 @@ uint64_t IndependentDiskDevice::CountWaves(const uint64_t* ids,
   return waves;
 }
 
-Status IndependentDiskDevice::FanOut(const uint64_t* ids, void* const* bufs,
-                                     size_t n, bool write) {
-  if (!valid_) {
-    return Status::InvalidArgument(
-        "IndependentDiskDevice children violate preconditions");
-  }
-  // Per-disk grouping, order preserved within each disk so contiguous
-  // child ids still coalesce in file-backed children. The arrays outlive
-  // the batch (all jobs are waited before returning), so engine workers
-  // may read them. Grouping happens under the shared lock; transfers run
-  // after it is released.
-  std::vector<std::vector<uint64_t>> child_ids(disks_.size());
-  std::vector<std::vector<void*>> child_bufs(disks_.size());
-  {
-    std::shared_lock<std::shared_mutex> lock(loc_mu_);
-    for (size_t i = 0; i < n; ++i) {
-      if (ids[i] >= loc_.size()) {
-        return Status::InvalidArgument("IndependentDiskDevice: bad block id");
-      }
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const Loc& l = loc_[ids[i]];
-      child_ids[l.disk].push_back(l.child_id);
-      child_bufs[l.disk].push_back(bufs[i]);
-    }
-  }
+Status IndependentDiskDevice::RunPerDisk(
+    const std::vector<DiskBatch>& per_disk, bool write,
+    const std::function<void(size_t)>& on_dead) {
+  const size_t D = per_disk.size();
+  std::vector<Status> st(D);
   auto disk_op = [&](size_t d) -> Status {
-    const size_t nd = child_ids[d].size();
-    if (nd == 0) return Status::OK();
+    const DiskBatch& b = per_disk[d];
     BlockDevice* disk = disks_[d].get();
-    if (write) {
-      return disk->WriteBatchUncounted(
-          child_ids[d].data(),
-          const_cast<const void* const*>(child_bufs[d].data()), nd);
-    }
-    return disk->ReadBatchUncounted(child_ids[d].data(), child_bufs[d].data(),
-                                    nd);
-  };
-  if (engine_ == nullptr || disks_.size() < 2) {
-    for (size_t d = 0; d < disks_.size(); ++d) VEM_RETURN_IF_ERROR(disk_op(d));
-    return Status::OK();
-  }
-  // One disk-tagged job per non-empty disk: the engine's per-disk queues
-  // serialize same-disk traffic (one transfer per head) while distinct
-  // disks run concurrently. The child device pointer is the tag — unique
-  // per disk across every device sharing the engine.
-  std::vector<std::function<Status()>> jobs;
-  std::vector<uint64_t> tags;
-  for (size_t d = 0; d < disks_.size(); ++d) {
-    if (child_ids[d].empty()) continue;
-    jobs.push_back([&disk_op, d] { return disk_op(d); });
-    tags.push_back(reinterpret_cast<uintptr_t>(disks_[d].get()));
-  }
-  // Fan-out jobs are charge-free end to end, so they may also opt into
-  // the ENGINE's whole-job retry plane (when one is configured there).
-  return engine_->RunBatch(std::move(jobs), tags, /*retryable=*/true);
-}
-
-Status IndependentDiskDevice::FanOutRead(const uint64_t* ids, void* const* bufs,
-                                         size_t n) {
-  if (!RedundancyArmed()) return FanOut(ids, bufs, n, /*write=*/false);
-  if (!valid_) {
-    return Status::InvalidArgument(
-        "IndependentDiskDevice children violate preconditions");
-  }
-  const size_t D = disks_.size();
-  std::vector<std::vector<uint64_t>> child_ids(D);
-  std::vector<std::vector<void*>> child_bufs(D);
-  std::vector<std::vector<uint64_t>> logical(D);
-  // Blocks served by reconstruction: those of pre-known degraded heads,
-  // then those of a head that dies mid-batch.
-  struct Recon {
-    uint64_t id;
-    void* buf;
-  };
-  std::vector<Recon> recon;
-  {
-    std::shared_lock<std::shared_mutex> lock(loc_mu_);
-    for (size_t i = 0; i < n; ++i) {
-      if (ids[i] >= loc_.size()) {
-        return Status::InvalidArgument("IndependentDiskDevice: bad block id");
-      }
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const Loc& l = loc_[ids[i]];
-      if (DiskDegraded(l.disk)) {
-        recon.push_back(Recon{ids[i], bufs[i]});
-      } else {
-        child_ids[l.disk].push_back(l.child_id);
-        child_bufs[l.disk].push_back(bufs[i]);
-        logical[l.disk].push_back(ids[i]);
-      }
-    }
-  }
-  std::vector<Status> st(D, Status::OK());
-  auto disk_op = [&](size_t d) -> Status {
-    const size_t nd = child_ids[d].size();
-    if (nd == 0) return Status::OK();
-    st[d] = disks_[d]->ReadBatchUncounted(child_ids[d].data(),
-                                          child_bufs[d].data(), nd);
+    st[d] = write ? disk->WriteBatchUncounted(b.child_ids.data(),
+                                              b.bufs.data(), b.ids.size())
+                  : disk->ReadBatchUncounted(b.child_ids.data(),
+                                             b.bufs.data(), b.ids.size());
     return st[d];
   };
+  Status batch;
   if (engine_ == nullptr || D < 2) {
-    for (size_t d = 0; d < D; ++d) (void)disk_op(d);
+    for (size_t d = 0; d < D; ++d) {
+      if (!per_disk[d].ids.empty()) (void)disk_op(d);
+    }
   } else {
+    // One disk-tagged job per non-empty disk: the engine's per-disk queues
+    // serialize same-disk traffic (one transfer per head) while distinct
+    // disks run concurrently. The child device pointer is the tag — unique
+    // per disk across every device sharing the engine. Fan-out jobs are
+    // charge-free end to end, so they may also opt into the ENGINE's
+    // whole-job retry plane (when one is configured there).
     std::vector<std::function<Status()>> jobs;
     std::vector<uint64_t> tags;
     for (size_t d = 0; d < D; ++d) {
-      if (child_ids[d].empty()) continue;
+      if (per_disk[d].ids.empty()) continue;
       jobs.push_back([&disk_op, d] { return disk_op(d); });
-      tags.push_back(reinterpret_cast<uintptr_t>(disks_[d].get()));
+      tags.push_back(DiskTag(d));
     }
-    (void)engine_->RunBatch(std::move(jobs), tags, /*retryable=*/true);
+    batch = engine_->RunBatch(std::move(jobs), tags, /*retryable=*/true);
   }
-  Status first_err = Status::OK();
+  Status first_err;
   for (size_t d = 0; d < D; ++d) {
     if (st[d].ok()) continue;
-    if (st[d].IsIOError()) {
-      // The head died mid-batch: latch it and reconstruct every block it
-      // owed this batch (blocks that landed before the death are simply
-      // overwritten with identical content).
+    if (RedundancyArmed() && st[d].IsIOError()) {
       MarkDiskDead(d);
-      for (size_t k = 0; k < child_ids[d].size(); ++k) {
-        recon.push_back(Recon{logical[d][k], child_bufs[d][k]});
-      }
+      on_dead(d);
     } else if (first_err.ok()) {
       first_err = st[d];
     }
   }
-  VEM_RETURN_IF_ERROR(first_err);
-  if (!recon.empty()) {
-    std::lock_guard<std::mutex> plock(parity_mu_);
-    for (const Recon& r : recon) {
-      VEM_RETURN_IF_ERROR(ReconstructLocked(r.id, r.buf));
+  // A job the engine's watchdog abandoned never reported into st.
+  if (first_err.ok() && batch.IsTimeout()) first_err = batch;
+  return first_err;
+}
+
+Status IndependentDiskDevice::FanOutRead(const uint64_t* ids, void* const* bufs,
+                                         size_t n) {
+  if (!valid_) {
+    return Status::InvalidArgument(
+        "IndependentDiskDevice children violate preconditions");
+  }
+  const bool armed = RedundancyArmed();
+  std::vector<DiskBatch> per_disk(disks_.size());
+  // Blocks served by reconstruction: those of pre-known degraded heads,
+  // then those of a head that dies mid-batch.
+  std::vector<std::pair<uint64_t, void*>> recon;
+  {
+    std::shared_lock<std::shared_mutex> lock(loc_mu_);
+    for (size_t i = 0; i < n; ++i) {
+      if (ids[i] >= loc_.size()) {
+        return Status::InvalidArgument("IndependentDiskDevice: bad block id");
+      }
     }
+    for (size_t i = 0; i < n; ++i) {
+      const Loc& l = loc_[ids[i]];
+      if (armed && DiskDegraded(l.disk)) {
+        recon.emplace_back(ids[i], bufs[i]);
+      } else {
+        per_disk[l.disk].Add(ids[i], l, bufs[i]);
+      }
+    }
+  }
+  VEM_RETURN_IF_ERROR(RunPerDisk(per_disk, /*write=*/false, [&](size_t d) {
+    // The head died mid-batch: reconstruct every block it owed this batch
+    // (blocks that landed before the death are simply overwritten with
+    // identical content).
+    const DiskBatch& b = per_disk[d];
+    for (size_t k = 0; k < b.ids.size(); ++k) {
+      recon.emplace_back(b.ids[k], b.bufs[k]);
+    }
+  }));
+  if (recon.empty()) return Status::OK();
+  // The reconstruction's physical reads ride the gauge; the caller's
+  // Account charges the home child exactly what its healthy read would
+  // have recorded, so per-child IoStats stay bit-identical.
+  std::lock_guard<std::mutex> plock(parity_mu_);
+  for (const auto& [id, buf] : recon) {
+    ReconPlan plan;
+    if (!BuildReconPlan(id, &plan)) {
+      return Status::InvalidArgument("IndependentDiskDevice: bad block id");
+    }
+    VEM_RETURN_IF_ERROR(ExecuteReconPlan(plan, buf));
   }
   return Status::OK();
 }
@@ -639,14 +577,11 @@ Status IndependentDiskDevice::FanOutRead(const uint64_t* ids, void* const* bufs,
 Status IndependentDiskDevice::FanOutWrite(const uint64_t* ids,
                                           const void* const* bufs,
                                           size_t n) {
-  if (!RedundancyArmed()) {
-    return FanOut(ids, const_cast<void* const*>(bufs), n, /*write=*/true);
-  }
   if (!valid_) {
     return Status::InvalidArgument(
         "IndependentDiskDevice children violate preconditions");
   }
-  const size_t D = disks_.size();
+  const bool armed = RedundancyArmed();
   const size_t B = block_size_;
   // Whole-batch parity critical section: deltas are computed against
   // pre-batch contents and must land before any other writer interleaves
@@ -655,9 +590,9 @@ Status IndependentDiskDevice::FanOutWrite(const uint64_t* ids,
   // deadlock. NOTE: batches with duplicate ids are unsupported under
   // redundancy (a duplicate would fold a stale old value into the
   // delta); no caller in the repo issues them.
-  std::lock_guard<std::mutex> plock(parity_mu_);
+  std::unique_lock<std::mutex> plock(parity_mu_, std::defer_lock);
+  if (armed) plock.lock();
   std::vector<Loc> locs(n);
-  std::vector<uint8_t> wrt(n);
   std::vector<Loc> mls;
   {
     std::shared_lock<std::shared_mutex> lock(loc_mu_);
@@ -666,10 +601,7 @@ Status IndependentDiskDevice::FanOutWrite(const uint64_t* ids,
         return Status::InvalidArgument("IndependentDiskDevice: bad block id");
       }
     }
-    for (size_t i = 0; i < n; ++i) {
-      locs[i] = loc_[ids[i]];
-      wrt[i] = written_[ids[i]];
-    }
+    for (size_t i = 0; i < n; ++i) locs[i] = loc_[ids[i]];
     if (redundancy_ == Redundancy::kMirror) {
       mls.resize(n);
       for (size_t i = 0; i < n; ++i) mls[i] = mirror_[ids[i]];
@@ -708,23 +640,9 @@ Status IndependentDiskDevice::FanOutWrite(const uint64_t* ids,
       // Small write: delta = XOR over (old ^ new) of the touched
       // members. Never-written members contribute zeros without a read.
       for (size_t idx : idxs) {
-        std::fill(old.begin(), old.end(), 0);
-        if (wrt[idx]) {
-          Status s;
-          if (DiskDead(locs[idx].disk)) {
-            s = ReconstructLocked(ids[idx], old.data());
-          } else {
-            s = disks_[locs[idx].disk]->ReadUncounted(locs[idx].child_id,
-                                                      old.data());
-            if (s.ok()) {
-              g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
-            } else if (s.IsIOError()) {
-              MarkDiskDead(locs[idx].disk);
-              s = ReconstructLocked(ids[idx], old.data());
-            }
-          }
-          VEM_RETURN_IF_ERROR(s);
-        }
+        bool written = false;
+        VEM_RETURN_IF_ERROR(
+            ReadOrReconstructLocked(ids[idx], old.data(), &written));
         const char* nb = static_cast<const char*>(bufs[idx]);
         for (size_t j = 0; j < B; ++j) dl[j] ^= old[j] ^ nb[j];
       }
@@ -732,49 +650,19 @@ Status IndependentDiskDevice::FanOutWrite(const uint64_t* ids,
   }
   // -------- phase B: data writes fan out to live heads only. A dead
   // head's blocks are carried by the redundancy plane alone.
-  std::vector<std::vector<uint64_t>> child_ids(D);
-  std::vector<std::vector<void*>> child_bufs(D);
+  std::vector<DiskBatch> per_disk(disks_.size());
   for (size_t i = 0; i < n; ++i) {
-    const uint32_t d = locs[i].disk;
-    if (DiskDead(d)) {
+    if (armed && DiskDead(locs[i].disk)) {
       g_degraded_writes_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      child_ids[d].push_back(locs[i].child_id);
-      child_bufs[d].push_back(const_cast<void*>(bufs[i]));
+      per_disk[locs[i].disk].Add(ids[i], locs[i], const_cast<void*>(bufs[i]));
     }
   }
-  std::vector<Status> st(D, Status::OK());
-  auto disk_op = [&](size_t d) -> Status {
-    const size_t nd = child_ids[d].size();
-    if (nd == 0) return Status::OK();
-    st[d] = disks_[d]->WriteBatchUncounted(
-        child_ids[d].data(),
-        const_cast<const void* const*>(child_bufs[d].data()), nd);
-    return st[d];
-  };
-  if (engine_ == nullptr || D < 2) {
-    for (size_t d = 0; d < D; ++d) (void)disk_op(d);
-  } else {
-    std::vector<std::function<Status()>> jobs;
-    std::vector<uint64_t> tags;
-    for (size_t d = 0; d < D; ++d) {
-      if (child_ids[d].empty()) continue;
-      jobs.push_back([&disk_op, d] { return disk_op(d); });
-      tags.push_back(reinterpret_cast<uintptr_t>(disks_[d].get()));
-    }
-    (void)engine_->RunBatch(std::move(jobs), tags, /*retryable=*/true);
-  }
-  Status first_err = Status::OK();
-  for (size_t d = 0; d < D; ++d) {
-    if (st[d].ok()) continue;
-    if (st[d].IsIOError()) {
-      MarkDiskDead(d);
-      g_degraded_writes_.fetch_add(child_ids[d].size(),
-                                   std::memory_order_relaxed);
-    } else if (first_err.ok()) {
-      first_err = st[d];
-    }
-  }
+  Status first_err = RunPerDisk(per_disk, /*write=*/true, [&](size_t d) {
+    g_degraded_writes_.fetch_add(per_disk[d].ids.size(),
+                                 std::memory_order_relaxed);
+  });
+  if (!armed) return first_err;
   // -------- phase C: land the redundancy copies — even when a head died
   // mid-batch. Parity reflects the ATTEMPTED contents, which is exactly
   // what reconstruction must return for the blocks that never landed.
@@ -848,18 +736,11 @@ Status IndependentDiskDevice::ReadUncounted(uint64_t id, void* buf) {
   if (!valid_ || !Lookup(id, &l)) {
     return Status::InvalidArgument("IndependentDiskDevice: bad block id");
   }
-  BlockDevice* disk = disks_[l.disk].get();
+  // A degraded head's block is served by FanOutRead's reconstruction.
   if (RedundancyArmed() && DiskDegraded(l.disk)) {
-    return DegradedReadBlock(id, buf);
+    return FanOutRead(&id, &buf, 1);
   }
-  Status s;
-  if (retry_ == nullptr) {
-    s = disk->ReadUncounted(l.child_id, buf);
-  } else {
-    s = RunWithDiskRetry(retry_, engine_, reinterpret_cast<uintptr_t>(disk),
-                         l.child_id,
-                         [&] { return disk->ReadUncounted(l.child_id, buf); });
-  }
+  Status s = ReadChild(l, buf);
   if (RedundancyArmed() && !s.ok()) {
     Loc l2;  // a rebuild swap may have re-homed the block mid-flight
     if (Lookup(id, &l2) && (l2.disk != l.disk || l2.child_id != l.child_id)) {
@@ -867,7 +748,7 @@ Status IndependentDiskDevice::ReadUncounted(uint64_t id, void* buf) {
     }
     if (s.IsIOError()) {
       MarkDiskDead(l.disk);
-      return DegradedReadBlock(id, buf);
+      return FanOutRead(&id, &buf, 1);
     }
   }
   return s;
@@ -977,17 +858,24 @@ Status IndependentDiskDevice::RebuildDisk(size_t d,
     rebuilding_disk_ = int(d);
     rebuild_dirty_.clear();
   }
-  // Drained so far: logical id (or parity group) -> spare child block.
-  std::unordered_map<uint64_t, uint64_t> data_map;
-  std::unordered_map<uint64_t, uint64_t> mirror_map;
+  // Drained so far: per list, logical id -> spare child block. List 0
+  // is the data blocks homed on d, list 1 the mirror copies homed on d
+  // (kMirror only); parity groups are recomputed in the final pass.
+  const size_t lists = redundancy_ == Redundancy::kMirror ? 2 : 1;
+  std::unordered_map<uint64_t, uint64_t> slot[2];
   std::unordered_map<uint64_t, uint64_t> parity_map;
   std::unordered_map<uint64_t, uint8_t> parity_has;
   std::vector<char> buf(B);
+  // The placement `list` tracks for `id` (loc_mu_ held, id < loc_.size()).
+  auto home = [&](size_t list, uint64_t id) -> Loc& {
+    return list == 0 ? loc_[id] : mirror_[id];
+  };
 
   // Undo everything and re-park the spare (cancel or failure).
   auto park = [&](Status why) -> Status {
-    for (auto& [id, sc] : data_map) spare->Free(sc);
-    for (auto& [id, sc] : mirror_map) spare->Free(sc);
+    for (auto& m : slot) {
+      for (auto& [id, sc] : m) spare->Free(sc);
+    }
     for (auto& [g, sc] : parity_map) spare->Free(sc);
     {
       std::lock_guard<std::mutex> plock(parity_mu_);
@@ -1002,62 +890,34 @@ Status IndependentDiskDevice::RebuildDisk(size_t d,
     return why;
   };
 
-  // Copy logical block `id` onto spare child `sc` (parity_mu_ held):
-  // direct read while the head still answers (a quarantined-but-alive
-  // head is current — writes keep landing on it), group reconstruction
-  // when it is dead. Unwritten blocks only claim the slot.
-  auto copy_data = [&](uint64_t id, uint64_t sc) -> Status {
-    ReconPlan plan;
-    if (!BuildReconPlan(id, /*loc_locked=*/false, &plan)) {
-      return Status::InvalidArgument("IndependentDiskDevice: lost block");
-    }
-    if (!plan.written) return Status::OK();
+  // Find or allocate `id`'s spare slot on `list`, then copy the block's
+  // current content there (parity_mu_ held). A data block is read while
+  // its head still answers (a quarantined-but-alive head is current —
+  // writes keep landing on it) and reconstructed when it is dead; a
+  // mirror copy is read from itself, or from the primary when the copy's
+  // head is dead. Unwritten blocks only claim the slot.
+  auto copy_to_spare = [&](size_t list, uint64_t id) -> Status {
+    auto [it, fresh] = slot[list].try_emplace(id, 0);
+    if (fresh) it->second = spare->Allocate();
+    bool written = false;
     Status s;
-    if (DiskDead(plan.target.disk)) {
-      s = ExecuteReconPlan(plan, buf.data());
+    if (list == 0) {
+      s = ReadOrReconstructLocked(id, buf.data(), &written);
     } else {
-      s = disks_[plan.target.disk]->ReadUncounted(plan.target.child_id,
-                                                  buf.data());
-      if (s.ok()) {
-        g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
-      } else if (s.IsIOError()) {
-        MarkDiskDead(plan.target.disk);
-        s = ExecuteReconPlan(plan, buf.data());
+      Loc ml{}, pl{};
+      {
+        std::shared_lock<std::shared_mutex> lock(loc_mu_);
+        if (id >= loc_.size() || freed_[id]) return Status::OK();
+        ml = mirror_[id];
+        pl = loc_[id];
+        written = written_[id] != 0;
       }
+      if (written) s = ReadMember(DiskDead(ml.disk) ? pl : ml, buf.data());
     }
-    VEM_RETURN_IF_ERROR(s);
-    VEM_RETURN_IF_ERROR(spare->WriteUncounted(sc, buf.data()));
+    if (!s.ok() || !written) return s;
+    VEM_RETURN_IF_ERROR(spare->WriteUncounted(it->second, buf.data()));
     g_rebuilt_blocks_.fetch_add(1, std::memory_order_relaxed);
     g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
-    return Status::OK();
-  };
-
-  // Copy the MIRROR copy of `id` (homed on d) onto the spare: prefer
-  // reading the copy itself (head d merely sick), else the primary.
-  auto copy_mirror = [&](uint64_t id, uint64_t sc) -> Status {
-    Loc ml{}, pl{};
-    bool w = false;
-    {
-      std::shared_lock<std::shared_mutex> lock(loc_mu_);
-      if (id >= loc_.size() || freed_[id]) return Status::OK();
-      ml = mirror_[id];
-      pl = loc_[id];
-      w = written_[id] != 0;
-    }
-    if (!w) return Status::OK();
-    Status s;
-    if (!DiskDead(ml.disk)) {
-      s = disks_[ml.disk]->ReadUncounted(ml.child_id, buf.data());
-    } else if (!DiskDead(pl.disk)) {
-      s = disks_[pl.disk]->ReadUncounted(pl.child_id, buf.data());
-    } else {
-      s = Status::IOError(
-          "IndependentDiskDevice: double failure (primary and copy dead)");
-    }
-    VEM_RETURN_IF_ERROR(s);
-    VEM_RETURN_IF_ERROR(spare->WriteUncounted(sc, buf.data()));
-    g_rebuilt_blocks_.fetch_add(1, std::memory_order_relaxed);
-    g_parity_bytes_.fetch_add(2 * B, std::memory_order_relaxed);
     return Status::OK();
   };
 
@@ -1076,49 +936,42 @@ Status IndependentDiskDevice::RebuildDisk(size_t d,
   // may go stale while the workload keeps writing (a dead parity head's
   // updates are skipped), so the final quiesced pass recomputes every
   // one of them from its members instead.
-  std::vector<uint64_t> work;
-  std::vector<uint64_t> mwork;
+  std::vector<uint64_t> work[2];
   {
     std::shared_lock<std::shared_mutex> lock(loc_mu_);
     for (uint64_t id = 0; id < loc_.size(); ++id) {
-      if (!freed_[id] && loc_[id].disk == d) work.push_back(id);
-    }
-    if (redundancy_ == Redundancy::kMirror) {
-      for (uint64_t id = 0; id < loc_.size(); ++id) {
-        if (!freed_[id] && mirror_[id].disk == d) mwork.push_back(id);
+      if (freed_[id]) continue;
+      for (size_t list = 0; list < lists; ++list) {
+        if (home(list, id).disk == d) work[list].push_back(id);
       }
     }
   }
   Status err = Status::OK();
   bool cancelled = false;
-  for (size_t list = 0; list < 2 && err.ok() && !cancelled; ++list) {
-    const std::vector<uint64_t>& ids = list == 0 ? work : mwork;
+  for (size_t list = 0; list < lists && err.ok() && !cancelled; ++list) {
     size_t pos = 0;
-    while (pos < ids.size()) {
+    while (pos < work[list].size() && err.ok()) {
       if (cancel && cancel()) {
         cancelled = true;
         break;
       }
       throttle();
       std::lock_guard<std::mutex> plock(parity_mu_);
-      for (size_t k = 0; k < batch_blocks && pos < ids.size(); ++k, ++pos) {
-        const uint64_t id = ids[pos];
+      for (size_t k = 0; k < batch_blocks && pos < work[list].size() &&
+                         err.ok();
+           ++k, ++pos) {
+        const uint64_t id = work[list][pos];
         {
           // The workload may have freed or re-homed the block since the
           // snapshot; the final pass handles anything that changes
           // AFTER this drain touches it (rebuild_dirty_).
           std::shared_lock<std::shared_mutex> lock(loc_mu_);
-          if (id >= loc_.size() || freed_[id]) continue;
-          if (list == 0 && loc_[id].disk != d) continue;
-          if (list == 1 && mirror_[id].disk != d) continue;
+          if (id >= loc_.size() || freed_[id] || home(list, id).disk != d) {
+            continue;
+          }
         }
-        auto& map = list == 0 ? data_map : mirror_map;
-        const uint64_t sc = spare->Allocate();
-        map[id] = sc;
-        err = list == 0 ? copy_data(id, sc) : copy_mirror(id, sc);
-        if (!err.ok()) break;
+        err = copy_to_spare(list, id);
       }
-      if (!err.ok()) break;
     }
   }
   if (cancelled) {
@@ -1132,22 +985,17 @@ Status IndependentDiskDevice::RebuildDisk(size_t d,
   // frozen; the copies below still drop loc_mu_ around physical I/O.
   {
     std::lock_guard<std::mutex> plock(parity_mu_);
-    std::vector<uint64_t> fix_data;
-    std::vector<uint64_t> fix_mirror;
+    std::vector<uint64_t> fix[2];
     std::vector<uint64_t> groups;
     {
-      std::unique_lock<std::shared_mutex> lock(loc_mu_);
+      std::shared_lock<std::shared_mutex> lock(loc_mu_);
       for (uint64_t id = 0; id < loc_.size(); ++id) {
         if (freed_[id]) continue;
-        if (loc_[id].disk == d &&
-            (data_map.find(id) == data_map.end() ||
-             rebuild_dirty_.count(id) != 0)) {
-          fix_data.push_back(id);
-        }
-        if (redundancy_ == Redundancy::kMirror && mirror_[id].disk == d &&
-            (mirror_map.find(id) == mirror_map.end() ||
-             rebuild_dirty_.count(id) != 0)) {
-          fix_mirror.push_back(id);
+        for (size_t list = 0; list < lists; ++list) {
+          if (home(list, id).disk == d &&
+              (slot[list].count(id) == 0 || rebuild_dirty_.count(id) != 0)) {
+            fix[list].push_back(id);
+          }
         }
       }
       if (redundancy_ == Redundancy::kParity) {
@@ -1157,98 +1005,67 @@ Status IndependentDiskDevice::RebuildDisk(size_t d,
         std::sort(groups.begin(), groups.end());
       }
     }
-    for (uint64_t id : fix_data) {
-      auto it = data_map.find(id);
-      const uint64_t sc = it == data_map.end() ? spare->Allocate() : it->second;
-      data_map[id] = sc;
-      err = copy_data(id, sc);
+    for (size_t list = 0; list < lists && err.ok(); ++list) {
+      for (uint64_t id : fix[list]) {
+        err = copy_to_spare(list, id);
+        if (!err.ok()) break;
+      }
+    }
+    // Recompute every parity block homed on d fresh from its members: a
+    // drained copy of the old parity could be stale (updates were
+    // silently skipped while d was dead), so XOR-from-members is the
+    // only safe content.
+    for (size_t gi = 0; gi < groups.size() && err.ok(); ++gi) {
+      const uint64_t g = groups[gi];
+      std::vector<Loc> members;
+      {
+        std::shared_lock<std::shared_mutex> lock(loc_mu_);
+        const uint64_t lo = g * group_data_;
+        const uint64_t hi = lo + group_data_;
+        for (uint64_t m = lo; m < hi && m < loc_.size(); ++m) {
+          if (!freed_[m] && written_[m]) members.push_back(loc_[m]);
+        }
+      }
+      const uint64_t sc = spare->Allocate();
+      parity_map[g] = sc;
+      parity_has[g] = members.empty() ? 0 : 1;
+      if (members.empty()) continue;
+      std::vector<char> acc(B, 0);
+      for (const Loc& m : members) {
+        err = ReadMember(m, buf.data());
+        if (!err.ok()) break;
+        for (size_t j = 0; j < B; ++j) acc[j] ^= buf[j];
+      }
+      if (err.ok()) err = spare->WriteUncounted(sc, acc.data());
       if (!err.ok()) break;
-    }
-    if (err.ok()) {
-      for (uint64_t id : fix_mirror) {
-        auto it = mirror_map.find(id);
-        const uint64_t sc =
-            it == mirror_map.end() ? spare->Allocate() : it->second;
-        mirror_map[id] = sc;
-        err = copy_mirror(id, sc);
-        if (!err.ok()) break;
-      }
-    }
-    if (err.ok() && redundancy_ == Redundancy::kParity) {
-      // Recompute every parity block homed on d fresh from its members:
-      // a drained copy of the old parity could be stale (updates were
-      // silently skipped while d was dead), so XOR-from-members is the
-      // only safe content.
-      for (uint64_t g : groups) {
-        std::vector<Loc> members;
-        {
-          std::shared_lock<std::shared_mutex> lock(loc_mu_);
-          const uint64_t lo = g * group_data_;
-          const uint64_t hi = lo + group_data_;
-          for (uint64_t m = lo; m < hi && m < loc_.size(); ++m) {
-            if (!freed_[m] && written_[m]) members.push_back(loc_[m]);
-          }
-        }
-        const uint64_t sc = spare->Allocate();
-        parity_map[g] = sc;
-        if (members.empty()) {
-          parity_has[g] = 0;
-          continue;
-        }
-        std::vector<char> acc(B, 0);
-        for (const Loc& m : members) {
-          if (DiskDead(m.disk)) {
-            err = Status::IOError(
-                "IndependentDiskDevice: double failure (group member dead "
-                "during parity recompute)");
-            break;
-          }
-          err = disks_[m.disk]->ReadUncounted(m.child_id, buf.data());
-          if (!err.ok()) break;
-          g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
-          for (size_t j = 0; j < B; ++j) acc[j] ^= buf[j];
-        }
-        if (!err.ok()) break;
-        err = spare->WriteUncounted(sc, acc.data());
-        if (!err.ok()) break;
-        parity_has[g] = 1;
-        g_rebuilt_blocks_.fetch_add(1, std::memory_order_relaxed);
-        g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
-      }
+      g_rebuilt_blocks_.fetch_add(1, std::memory_order_relaxed);
+      g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
     }
     if (err.ok()) {
       // SWAP: placement flips to the spare, the dead latch clears. The
       // retired head stays alive for the device's lifetime — engine
       // queues and health records key on its pointer.
       std::unique_lock<std::shared_mutex> lock(loc_mu_);
-      for (auto& [id, sc] : data_map) {
-        if (id < loc_.size() && !freed_[id] && loc_[id].disk == d) {
-          loc_[id] = Loc{uint32_t(d), sc};
-        } else {
-          spare->Free(sc);  // freed or re-homed while draining
+      for (size_t list = 0; list < lists; ++list) {
+        for (auto& [id, sc] : slot[list]) {
+          if (id < loc_.size() && !freed_[id] && home(list, id).disk == d) {
+            home(list, id) = Loc{uint32_t(d), sc};
+          } else {
+            spare->Free(sc);  // freed or re-homed while draining
+          }
         }
       }
-      if (redundancy_ == Redundancy::kMirror) {
-        for (auto& [id, sc] : mirror_map) {
-          if (id < loc_.size() && !freed_[id] && mirror_[id].disk == d) {
-            mirror_[id] = Loc{uint32_t(d), sc};
+      for (auto& [g, sc] : parity_map) {
+        auto it = parity_.find(g);
+        if (it != parity_.end() && it->second.disk == d) {
+          it->second.child_id = sc;
+          if (parity_has[g]) {
+            parity_written_.insert(g);
           } else {
-            spare->Free(sc);
+            parity_written_.erase(g);
           }
-        }
-      } else {
-        for (auto& [g, sc] : parity_map) {
-          auto it = parity_.find(g);
-          if (it != parity_.end() && it->second.disk == d) {
-            it->second.child_id = sc;
-            if (parity_has[g]) {
-              parity_written_.insert(g);
-            } else {
-              parity_written_.erase(g);
-            }
-          } else {
-            spare->Free(sc);  // group dissolved while draining
-          }
+        } else {
+          spare->Free(sc);  // group dissolved while draining
         }
       }
       retired_.push_back(std::move(disks_[d]));
@@ -1283,7 +1100,7 @@ void IndependentDiskDevice::set_io_engine(IoEngine* engine) {
   for (size_t d = 0; d < disks_.size(); ++d) {
     disks_[d]->set_io_engine(engine);
     if (engine != nullptr) {
-      // The child pointer is the disk tag FanOut and EngineDiskTag use;
+      // The child pointer is the disk tag RunPerDisk and EngineDiskTag use;
       // disk + 1 is the PrefetchRoute of every block it holds.
       engine->LabelDisk(reinterpret_cast<uintptr_t>(disks_[d].get()),
                         uint64_t{d} + 1);

@@ -63,7 +63,9 @@
 // members (or the mirror copy) as one uncounted wave. Writes divert
 // only for DEAD heads — a quarantined-but-alive head still receives
 // writes so its contents stay current if it recovers — landing the
-// content in the parity/mirror plane alone.
+// content in the parity/mirror plane alone. Every read the redundancy
+// plane issues itself (old data, parity, group peers, rebuild sources)
+// rides the retry plane exactly as a demand read does.
 //
 // ACCOUNTING CONTRACT: logical IoStats (parent and children) stay
 // bit-identical healthy vs degraded. Placement with redundancy armed
@@ -174,8 +176,8 @@ class IndependentDiskDevice final : public BlockDevice {
   /// (route 0 stays the unrouted bucket).
   uint64_t PrefetchRoute(uint64_t block_id) const override;
 
-  /// The owning child's pointer — identical to the tag FanOut puts on
-  /// its own per-disk jobs, so external per-block submissions (forecast
+  /// The owning child's pointer — identical to the tag RunPerDisk puts
+  /// on its own per-disk jobs, so external per-block submissions (forecast
   /// merge) queue behind the same head.
   uint64_t EngineDiskTag(uint64_t block_id) const override;
 
@@ -285,21 +287,38 @@ class IndependentDiskDevice final : public BlockDevice {
     Loc mirror{};               // copy (mirror mode)
   };
 
-  /// Group a batch per disk (preserving order within each disk) and run
-  /// one uncounted child batch per disk — engine-parallel with
-  /// disk-tagged jobs when an engine is attached, sequential otherwise.
-  /// Healthy-path only; redundancy-armed batches go through FanOutRead /
-  /// FanOutWrite below.
-  Status FanOut(const uint64_t* ids, void* const* bufs, size_t n, bool write);
+  /// One disk's share of a batch, in batch order (so contiguous child
+  /// ids still coalesce in file-backed children).
+  struct DiskBatch {
+    std::vector<uint64_t> ids;        // logical ids
+    std::vector<uint64_t> child_ids;  // their blocks on this disk
+    std::vector<void*> bufs;
+    void Add(uint64_t id, const Loc& l, void* buf) {
+      ids.push_back(id);
+      child_ids.push_back(l.child_id);
+      bufs.push_back(buf);
+    }
+  };
 
-  /// Redundancy-aware batch read: degraded heads' blocks reconstruct in
-  /// the caller thread, healthy heads fan out as usual, and a head that
-  /// fails permanently MID-batch is latched dead and its blocks
-  /// reconstructed.
+  /// The one per-disk fan-out: one uncounted child batch per non-empty
+  /// disk — engine-parallel as disk-tagged retryable jobs when an engine
+  /// is attached, a loop over every disk otherwise. With redundancy
+  /// armed, a disk failing with IOError is latched dead and handed to
+  /// `on_dead` (the caller recovers its blocks); every other error, in
+  /// disk order, is returned first-wins once every disk has run (or the
+  /// engine watchdog's Timeout for a job it abandoned).
+  Status RunPerDisk(const std::vector<DiskBatch>& per_disk, bool write,
+                    const std::function<void(size_t)>& on_dead);
+
+  /// Batch read, both modes: degraded heads' blocks (redundancy armed
+  /// only) reconstruct in the caller thread, the rest go through
+  /// RunPerDisk, and a head that fails permanently MID-batch is latched
+  /// dead and its blocks reconstructed.
   Status FanOutRead(const uint64_t* ids, void* const* bufs, size_t n);
-  /// Redundancy-aware batch write: parity read-modify-write (or
-  /// full-stripe) under parity_mu_, data writes fanned out to live
-  /// heads, dead heads' content carried by the redundancy plane alone.
+  /// Batch write, both modes: with redundancy armed, parity
+  /// read-modify-write (or full-stripe) under parity_mu_, data writes to
+  /// live heads through RunPerDisk, dead heads' content carried by the
+  /// redundancy plane alone.
   Status FanOutWrite(const uint64_t* ids, const void* const* bufs, size_t n);
 
   /// Placement lookup under the shared lock; false for unknown ids.
@@ -311,23 +330,34 @@ class IndependentDiskDevice final : public BlockDevice {
   /// Member/parity disks group `g` already occupies (loc_mu_ held).
   uint64_t GroupDiskMaskLocked(uint64_t g) const;
 
-  /// Copy every fact a reconstruction of `id` needs (loc_locked = the
-  /// caller already holds loc_mu_). False when `id` is unknown.
-  bool BuildReconPlan(uint64_t id, bool loc_locked, ReconPlan* out) const;
+  /// The one retried child read: RunWithDiskRetry under the retry policy
+  /// when one is set, so a transient fault is absorbed wherever the
+  /// device reads a child block itself.
+  Status ReadChild(const Loc& l, void* buf);
+  /// Every redundancy-plane read (old data, parity, group peers, mirror
+  /// copies, rebuild sources) goes through here: refuses a dead head
+  /// with IOError, is retried through ReadChild, and charges the
+  /// parity_bytes gauge on success.
+  Status ReadMember(const Loc& l, void* buf);
+  /// Current content of `id` into `out` (parity_mu_ held, loc_mu_ not):
+  /// a dead head reconstructs; otherwise ReadMember, and an IOError
+  /// latches the head dead and reconstructs. A never-written block reads
+  /// as zeros with `*written` false. Serves the parity small write's
+  /// old-data read, Free's XOR-out and the rebuild's data copy.
+  Status ReadOrReconstructLocked(uint64_t id, void* out, bool* written);
+
+  /// Copy every fact a reconstruction of `id` needs (parity_mu_ held,
+  /// loc_mu_ not). False when `id` is unknown.
+  bool BuildReconPlan(uint64_t id, ReconPlan* out) const;
   /// Run a plan: XOR the parity block and written peers (or read the
-  /// mirror copy) into `out`. Physical reads are uncounted and ride the
-  /// gauge. parity_mu_ must be held; loc_mu_ must NOT be needed.
+  /// mirror copy) into `out` through ReadMember. parity_mu_ must be held;
+  /// loc_mu_ must NOT be needed.
   Status ExecuteReconPlan(const ReconPlan& plan, void* out);
-  /// Reconstruct `id` into `out` (parity_mu_ held, loc_mu_ not held).
-  Status ReconstructLocked(uint64_t id, void* out);
   /// Fold `delta` into group `g`'s parity block (parity_mu_ held).
   /// `absolute` overwrites instead of XORing (full-stripe). Skipped
   /// silently when the parity head is dead (single-failure model: the
   /// rebuild recomputes parity from members).
   Status ApplyParityLocked(uint64_t g, const char* delta, bool absolute);
-
-  /// Serve a single degraded read: reconstruct under parity_mu_.
-  Status DegradedReadBlock(uint64_t id, void* buf);
 
   bool RedundancyArmed() const { return redundancy_ != Redundancy::kNone; }
   void MarkWrittenShared(const uint64_t* ids, size_t n);

@@ -614,45 +614,67 @@ TEST(ForecastMerge, SingleDiskDegeneratesToPlainCosts) {
 
 // --------------------------------------------------------- faulty child
 
-TEST(IndependentDiskFaults, FaultyChildPropagatesReadError) {
-  MemoryBlockDevice faulty_inner(kBlock);
-  std::vector<std::unique_ptr<BlockDevice>> disks;
-  disks.push_back(std::make_unique<MemoryBlockDevice>(kBlock));
-  disks.push_back(std::make_unique<FaultyBlockDevice>(&faulty_inner,
-                                                      /*fail_read_at=*/10));
-  disks.push_back(std::make_unique<MemoryBlockDevice>(kBlock));
-  disks.push_back(std::make_unique<MemoryBlockDevice>(kBlock));
-  IndependentDiskDevice dev(std::move(disks), kSeed);
-  ASSERT_TRUE(dev.valid());
-  ASSERT_TRUE(dev.SupportsUncounted());
-
-  Rng rng(31);
-  std::vector<uint64_t> data(20000);
-  for (auto& v : data) v = rng.Next();
-  ExtVector<uint64_t> vec(&dev);
-  ASSERT_TRUE(vec.AppendAll(data.data(), data.size(), /*depth=*/8).ok());
-  std::vector<uint64_t> out;
-  Status s = vec.ReadAll(&out, /*depth=*/8);
+/// With redundancy off a child's IOError is the batch's error, unchanged
+/// — with or without an engine — and nothing is reconstructed, diverted
+/// to a redundancy plane, or latched dead.
+void ExpectPlainChildError(const IndependentDiskDevice& dev, const Status& s,
+                           const std::string& injected) {
   EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_NE(s.ToString().find(injected), std::string::npos) << s.ToString();
+  EXPECT_EQ(dev.redundancy_stats(), RedundancyStats{})
+      << dev.redundancy_stats().ToString();
+  for (size_t d = 0; d < dev.num_disks(); ++d) EXPECT_FALSE(dev.DiskDead(d));
+}
+
+TEST(IndependentDiskFaults, FaultyChildPropagatesReadError) {
+  for (bool with_engine : {false, true}) {
+    SCOPED_TRACE(with_engine ? "IoEngine" : "no engine");
+    IoEngine engine(2);  // outlives the device that points at it
+    MemoryBlockDevice faulty_inner(kBlock);
+    std::vector<std::unique_ptr<BlockDevice>> disks;
+    disks.push_back(std::make_unique<MemoryBlockDevice>(kBlock));
+    disks.push_back(std::make_unique<FaultyBlockDevice>(&faulty_inner,
+                                                        /*fail_read_at=*/10));
+    disks.push_back(std::make_unique<MemoryBlockDevice>(kBlock));
+    disks.push_back(std::make_unique<MemoryBlockDevice>(kBlock));
+    IndependentDiskDevice dev(std::move(disks), kSeed);
+    ASSERT_TRUE(dev.valid());
+    ASSERT_TRUE(dev.SupportsUncounted());
+    if (with_engine) dev.set_io_engine(&engine);
+
+    Rng rng(31);
+    std::vector<uint64_t> data(20000);
+    for (auto& v : data) v = rng.Next();
+    ExtVector<uint64_t> vec(&dev);
+    ASSERT_TRUE(vec.AppendAll(data.data(), data.size(), /*depth=*/8).ok());
+    std::vector<uint64_t> out;
+    Status s = vec.ReadAll(&out, /*depth=*/8);
+    ExpectPlainChildError(dev, s, "injected read fault #10");
+  }
 }
 
 TEST(IndependentDiskFaults, FaultyChildPropagatesWriteError) {
-  MemoryBlockDevice faulty_inner(kBlock);
-  std::vector<std::unique_ptr<BlockDevice>> disks;
-  disks.push_back(std::make_unique<MemoryBlockDevice>(kBlock));
-  disks.push_back(std::make_unique<MemoryBlockDevice>(kBlock));
-  disks.push_back(std::make_unique<FaultyBlockDevice>(
-      &faulty_inner, FaultyBlockDevice::kNever, /*fail_write_at=*/12));
-  disks.push_back(std::make_unique<MemoryBlockDevice>(kBlock));
-  IndependentDiskDevice dev(std::move(disks), kSeed);
-  ASSERT_TRUE(dev.valid());
+  for (bool with_engine : {false, true}) {
+    SCOPED_TRACE(with_engine ? "IoEngine" : "no engine");
+    IoEngine engine(2);  // outlives the device that points at it
+    MemoryBlockDevice faulty_inner(kBlock);
+    std::vector<std::unique_ptr<BlockDevice>> disks;
+    disks.push_back(std::make_unique<MemoryBlockDevice>(kBlock));
+    disks.push_back(std::make_unique<MemoryBlockDevice>(kBlock));
+    disks.push_back(std::make_unique<FaultyBlockDevice>(
+        &faulty_inner, FaultyBlockDevice::kNever, /*fail_write_at=*/12));
+    disks.push_back(std::make_unique<MemoryBlockDevice>(kBlock));
+    IndependentDiskDevice dev(std::move(disks), kSeed);
+    ASSERT_TRUE(dev.valid());
+    if (with_engine) dev.set_io_engine(&engine);
 
-  Rng rng(32);
-  std::vector<uint64_t> data(20000);
-  for (auto& v : data) v = rng.Next();
-  ExtVector<uint64_t> vec(&dev);
-  Status s = vec.AppendAll(data.data(), data.size(), /*depth=*/8);
-  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    Rng rng(32);
+    std::vector<uint64_t> data(20000);
+    for (auto& v : data) v = rng.Next();
+    ExtVector<uint64_t> vec(&dev);
+    Status s = vec.AppendAll(data.data(), data.size(), /*depth=*/8);
+    ExpectPlainChildError(dev, s, "injected write fault #12");
+  }
 }
 
 TEST(IndependentDiskFaults, ForecastMergeSurfacesReadError) {

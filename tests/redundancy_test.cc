@@ -251,6 +251,71 @@ TEST(RedundancyConsistency, DegradedReadOfNeverWrittenBlockIsCorruption) {
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
+// ------------------------------------- retried redundancy-plane reads
+
+/// Parity rig with a retry plane armed (no backoff) and one written
+/// group of three members filled with the bytes 'a', 'b', 'c'.
+struct RetriedParityGroup {
+  RedundantRig rig{Redundancy::kParity};
+  RetryPolicy policy{[] {
+    RetryPolicy::Config cfg;
+    cfg.retry_limit = 4;
+    cfg.base_us = 0;
+    return cfg;
+  }()};
+  std::vector<uint64_t> ids;
+
+  RetriedParityGroup() {
+    rig.dev->set_retry_policy(&policy);
+    char buf[kBlock];
+    for (int i = 0; i < 3; ++i) {
+      ids.push_back(rig.dev->Allocate());
+      std::memset(buf, 'a' + i, kBlock);
+      EXPECT_TRUE(rig.dev->Write(ids.back(), buf).ok());
+    }
+    EXPECT_EQ(ids[2] / 3, ids[0] / 3) << "members span two parity groups";
+  }
+  /// Fail the next read attempt on `id`'s home head once.
+  void FailNextReadOnce(uint64_t id) {
+    FaultyBlockDevice* home = rig.wrappers[rig.dev->disk_of(id)];
+    home->SetTransientReadFault(home->reads_seen() + 1, 1);
+  }
+};
+
+// A parity small write reads the old data first; one transient fault
+// there is retried exactly as the same fault on a plain read is.
+TEST(RedundancyRetry, ParitySmallWriteRetriesTransientOldDataRead) {
+  RetriedParityGroup grp;
+  const uint64_t id = grp.ids[0];
+  char out[kBlock];
+  grp.FailNextReadOnce(id);
+  ASSERT_TRUE(grp.rig.dev->ReadUncounted(id, out).ok());
+  char buf[kBlock];
+  std::memset(buf, 'z', kBlock);
+  grp.FailNextReadOnce(id);
+  Status s = grp.rig.dev->WriteUncounted(id, buf);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  // The parity took the delta: the new content reconstructs.
+  grp.rig.dev->MarkDiskDead(grp.rig.dev->disk_of(id));
+  ASSERT_TRUE(grp.rig.dev->ReadUncounted(id, out).ok());
+  EXPECT_EQ(std::memcmp(out, buf, kBlock), 0);
+}
+
+// Free XORs the departing block out of its group parity; one transient
+// fault on that old-data read must not leave the parity stale, or a
+// later degraded read of a surviving member returns wrong bytes as OK.
+TEST(RedundancyRetry, FreeRetriesTransientOldDataRead) {
+  RetriedParityGroup grp;
+  grp.FailNextReadOnce(grp.ids[0]);
+  grp.rig.dev->Free(grp.ids[0]);
+  grp.rig.dev->MarkDiskDead(grp.rig.dev->disk_of(grp.ids[1]));
+  char out[kBlock];
+  Status s = grp.rig.dev->ReadUncounted(grp.ids[1], out);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(out[0], 'b');
+  EXPECT_EQ(std::count(out, out + kBlock, 'b'), std::ptrdiff_t(kBlock));
+}
+
 // --------------------------------------------- degraded-mode workloads
 
 struct RedundantWorkloadResult {
