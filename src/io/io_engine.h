@@ -63,7 +63,6 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "util/options.h"
@@ -116,12 +115,9 @@ class IoEngine : public DepthGauge {
   explicit IoEngine(size_t num_threads = 2, size_t disk_inflight_cap = 1,
                     IoBackend backend = IoBackend::kWorkerPool);
 
-  /// Convenience: thread count, per-disk cap, backend, and watchdog
-  /// deadline from Options.
+  /// Convenience: thread count, per-disk cap and backend from Options.
   explicit IoEngine(const Options& opts)
-      : IoEngine(opts.io_threads, opts.disk_inflight_cap, opts.io_backend) {
-    deadline_ms_ = opts.io_deadline_ms;
-  }
+      : IoEngine(opts.io_threads, opts.disk_inflight_cap, opts.io_backend) {}
 
   /// Drains the queues (waits for every submitted job) and joins workers.
   ~IoEngine() override;
@@ -149,11 +145,10 @@ class IoEngine : public DepthGauge {
   /// bypasses its disk's in-flight cap: the waiter would otherwise sit
   /// idle blocked on exactly this transfer, which is the synchronous
   /// path's behavior anyway.
-  /// Hung-I/O watchdog: when deadline_ms() != 0 and the job is neither
-  /// stealable nor completed within the deadline, Wait abandons the
-  /// ticket and returns Status::Timeout instead of blocking forever; the
-  /// job's eventual result (it may still be running on a worker) is
-  /// discarded on completion.
+  /// Wait has no deadline: it returns only after the job has finished.
+  /// Jobs write through memory their submitter borrows (stream windows,
+  /// stack-held batch state), so a ticket given up early would let the
+  /// job land in freed memory.
   Status Wait(Ticket t);
 
   /// Run `ops` with maximal concurrency and return the first error (all
@@ -202,11 +197,9 @@ class IoEngine : public DepthGauge {
   void set_retry_policy(RetryPolicy* retry) { retry_ = retry; }
   RetryPolicy* retry_policy() const { return retry_; }
 
-  /// Watchdog deadline (Options::io_deadline_ms); 0 waits forever.
-  void set_deadline_ms(uint64_t ms);
-  uint64_t deadline_ms() const;
-  /// Jobs abandoned by Wait after the deadline (observability gauge).
-  uint64_t timeouts() const;
+  /// Jobs abandoned by Wait: always 0, since every ticket is waited to
+  /// completion. Kept for gauges that report it.
+  uint64_t timeouts() const { return 0; }
 
   // ------------------------------------------------------- depth gauge
   /// Jobs waiting in any queue (not yet picked up by a worker).
@@ -381,12 +374,6 @@ class IoEngine : public DepthGauge {
   std::map<uint64_t, DiskHealthState> health_;
   size_t quarantined_count_ = 0;
   std::unordered_map<Ticket, Status> done_;
-  // Tickets Wait gave up on (watchdog): completions land here instead of
-  // done_ and are discarded, so abandoned results neither leak nor
-  // satisfy a later stray Wait.
-  std::unordered_set<Ticket> abandoned_;
-  uint64_t deadline_ms_ = 0;
-  uint64_t timeouts_ = 0;
   Ticket next_ticket_ = 1;
   bool stop_ = false;
   IoBackend backend_ = IoBackend::kWorkerPool;

@@ -94,8 +94,7 @@ class RetryPolicy {
 
   /// Backoff delay for retry number `attempt` (1-based), in nanoseconds:
   /// a deterministic jittered point in [cap/2, cap) where cap =
-  /// min(base_us << (attempt-1), max_us). Exposed for tests and for the
-  /// watchdog's deadline reasoning.
+  /// min(base_us << (attempt-1), max_us). Exposed for tests.
   uint64_t BackoffNs(uint64_t key, size_t attempt) const;
 
   // Physical gauge (not IoStats): total retry attempts that ran, and

@@ -63,8 +63,9 @@ class ForecastMerger {
   }
 
   ~ForecastMerger() {
-    // Abandoned fetches (early error abort) still own their buffers
-    // until the engine is done with them. Speculative blocks never
+    // Fetches left in flight by an early error abort write into their
+    // runs' buffers: wait each one out before the buffers are freed.
+    // Speculative blocks never
     // consumed are never charged, like every uncounted-plane stream.
     for (Run& run : runs_) {
       if (run.staged_inflight) (void)dev_->io_engine()->Wait(run.ticket);

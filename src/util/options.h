@@ -159,14 +159,6 @@ struct Options {
   /// Upper bound on a single backoff delay, in microseconds.
   uint64_t io_retry_max_us = 20000;
 
-  /// Hung-I/O watchdog deadline for IoEngine jobs, in milliseconds.
-  /// 0 (the default) waits forever — the historical behavior. When set,
-  /// IoEngine::Wait gives up on a job that has not completed within the
-  /// deadline and returns Status::Timeout instead of blocking forever;
-  /// the abandoned job's eventual result is discarded. This is a
-  /// liveness backstop, not a retry trigger (see Status::IsTransient).
-  uint64_t io_deadline_ms = 0;
-
   /// Redundancy scheme for IndependentDiskDevice. kNone (the default)
   /// is bit-identical to the pre-redundancy substrate. kParity arms
   /// rotated parity groups; kMirror keeps a full second copy. Either

@@ -23,7 +23,6 @@ class Status {
     kOutOfMemory = 5,
     kNotSupported = 6,
     kBusy = 7,
-    kTimeout = 8,
     kUnavailable = 9,
   };
 
@@ -60,12 +59,6 @@ class Status {
   static Status Busy(std::string msg) {
     return Status(Code::kBusy, std::move(msg));
   }
-  /// An operation exceeded its deadline (hung-I/O watchdog,
-  /// Options::io_deadline_ms). The transfer may still be in flight on a
-  /// worker; the resource it holds is abandoned, not reclaimed.
-  static Status Timeout(std::string msg) {
-    return Status(Code::kTimeout, std::move(msg));
-  }
   /// A resource is transiently unavailable (EAGAIN-class syscall
   /// failures, transient device faults). Retry with backoff is expected
   /// to succeed; nothing is structurally wrong with the data.
@@ -81,7 +74,6 @@ class Status {
   bool IsOutOfMemory() const { return code_ == Code::kOutOfMemory; }
   bool IsNotSupported() const { return code_ == Code::kNotSupported; }
   bool IsBusy() const { return code_ == Code::kBusy; }
-  bool IsTimeout() const { return code_ == Code::kTimeout; }
   bool IsUnavailable() const { return code_ == Code::kUnavailable; }
 
   /// Error taxonomy for the fault-tolerance plane (io/retry_policy.h):
@@ -89,9 +81,7 @@ class Status {
   /// nothing is structurally wrong, a resource was momentarily held or
   /// slow. Permanent categories (kIOError, kCorruption, ...) must
   /// propagate; retrying them only delays the inevitable and can mask
-  /// real damage. kTimeout is deliberately NOT transient: the watchdog
-  /// fires after retries are exhausted at lower layers, and the stalled
-  /// transfer may still land later — re-issuing it races the straggler.
+  /// real damage.
   bool IsTransient() const {
     return code_ == Code::kBusy || code_ == Code::kUnavailable;
   }
@@ -112,7 +102,6 @@ class Status {
       case Code::kOutOfMemory: name = "OutOfMemory"; break;
       case Code::kNotSupported: name = "NotSupported"; break;
       case Code::kBusy: name = "Busy"; break;
-      case Code::kTimeout: name = "Timeout"; break;
       case Code::kUnavailable: name = "Unavailable"; break;
     }
     return std::string(name) + ": " + message_;

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/ext_vector.h"
@@ -376,6 +379,125 @@ TEST(WriterWriteBehind, ResumingPartialTailStaysCorrect) {
   std::vector<uint64_t> want = first;
   want.insert(want.end(), second.begin(), second.end());
   EXPECT_EQ(all, want);
+}
+
+// ------------------------------------------------ streams dropped mid-flight
+
+/// Engine-capable RAM device whose batch transfers (the stream fills)
+/// sleep first, so a fill is still running when its stream is dropped.
+/// Storage is preallocated: worker transfers never race Allocate.
+class SlowBatchRamDevice final : public BlockDevice {
+ public:
+  SlowBatchRamDevice(size_t block_size, size_t capacity)
+      : bs_(block_size), mem_(block_size * capacity, 0), cap_(capacity) {}
+
+  size_t block_size() const override { return bs_; }
+  bool SupportsUncounted() const override { return true; }
+  bool SupportsAsync() const override { return true; }
+  Status ReadUncounted(uint64_t id, void* buf) override {
+    std::memcpy(buf, &mem_[id * bs_], bs_);
+    return Status::OK();
+  }
+  Status WriteUncounted(uint64_t id, const void* buf) override {
+    std::memcpy(&mem_[id * bs_], buf, bs_);
+    return Status::OK();
+  }
+  Status ReadBatchUncounted(const uint64_t* ids, void* const* bufs,
+                            size_t n) override {
+    return Slowly(
+        [&] { return BlockDevice::ReadBatchUncounted(ids, bufs, n); });
+  }
+  Status WriteBatchUncounted(const uint64_t* ids, const void* const* bufs,
+                             size_t n) override {
+    return Slowly(
+        [&] { return BlockDevice::WriteBatchUncounted(ids, bufs, n); });
+  }
+
+  uint64_t Allocate() override {
+    EXPECT_LT(next_, cap_);
+    ++live_;
+    return next_++;
+  }
+  void Free(uint64_t) override { --live_; }
+  uint64_t num_allocated() const override { return live_; }
+
+  /// Batch transfers currently running.
+  int busy() const { return busy_.load(); }
+
+ private:
+  template <typename F>
+  Status Slowly(F transfer) {
+    busy_.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    Status s = transfer();
+    busy_.fetch_sub(1);
+    return s;
+  }
+
+  size_t bs_;
+  std::vector<char> mem_;
+  uint64_t cap_;
+  uint64_t next_ = 0;
+  uint64_t live_ = 0;
+  std::atomic<int> busy_{0};
+};
+
+TEST(StreamDrop, ReaderDroppedWithFillInFlightIsMemorySafe) {
+  SlowBatchRamDevice dev(256, 64);
+  IoEngine engine(2);
+  dev.set_io_engine(&engine);
+  ExtVector<uint64_t> vec(&dev);
+  std::vector<uint64_t> data(32 * 32);  // 32 blocks of 32 items
+  std::iota(data.begin(), data.end(), 7);
+  ASSERT_TRUE(vec.AppendAll(data.data(), data.size()).ok());
+
+  IoProbe probe(dev);
+  {
+    ExtVector<uint64_t>::Reader r(&vec, 0, /*depth_override=*/4);
+    uint64_t v = 0;
+    ASSERT_TRUE(r.Next(&v));
+    EXPECT_EQ(v, 7u);
+    // Drop the stream while its read-ahead runs on a worker (a queued
+    // job would be run by the waiter itself).
+    while (dev.busy() == 0) std::this_thread::yield();
+  }
+  EXPECT_EQ(dev.busy(), 0);
+  IoStats cost = probe.delta();
+  EXPECT_EQ(cost.block_reads, 1u);  // only the block the stream entered
+  EXPECT_EQ(cost.block_writes, 0u);
+
+  std::vector<uint64_t> all;
+  ASSERT_TRUE(vec.ReadAll(&all).ok());
+  EXPECT_EQ(all, data);
+  dev.set_io_engine(nullptr);
+}
+
+TEST(StreamDrop, WriterDroppedWithGroupInFlightIsMemorySafe) {
+  SlowBatchRamDevice dev(256, 64);
+  IoEngine engine(2);
+  dev.set_io_engine(&engine);
+  ExtVector<uint64_t> vec(&dev);
+  std::vector<uint64_t> data(4 * 32);  // exactly one depth-4 group
+  std::iota(data.begin(), data.end(), 11);
+
+  IoProbe probe(dev);
+  {
+    ExtVector<uint64_t>::Writer w(&vec, /*depth_override=*/4);
+    for (uint64_t v : data) ASSERT_TRUE(w.Append(v));
+    // The full group runs on a worker; no Finish before ~Writer.
+    while (dev.busy() == 0) std::this_thread::yield();
+  }
+  EXPECT_EQ(dev.busy(), 0);
+  IoStats cost = probe.delta();
+  EXPECT_EQ(cost.block_writes, 4u);  // the group landed and is charged
+  EXPECT_EQ(cost.block_reads, 0u);
+  EXPECT_EQ(vec.size(), data.size());
+  EXPECT_EQ(vec.num_blocks(), 4u);
+
+  std::vector<uint64_t> all;
+  ASSERT_TRUE(vec.ReadAll(&all).ok());
+  EXPECT_EQ(all, data);
+  dev.set_io_engine(nullptr);
 }
 
 // ------------------------------------------------------ parallel striping

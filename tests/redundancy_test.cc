@@ -251,12 +251,13 @@ TEST(RedundancyConsistency, DegradedReadOfNeverWrittenBlockIsCorruption) {
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
-// ------------------------------------- retried redundancy-plane reads
+// ----------------------------- retried redundancy-plane reads and writes
 
-/// Parity rig with a retry plane armed (no backoff) and one written
-/// group of three members filled with the bytes 'a', 'b', 'c'.
-struct RetriedParityGroup {
-  RedundantRig rig{Redundancy::kParity};
+/// Redundant rig (parity unless told otherwise) with a retry plane armed
+/// (no backoff) and one written group of three members filled with the
+/// bytes 'a', 'b', 'c'.
+struct RetriedGroup {
+  RedundantRig rig;
   RetryPolicy policy{[] {
     RetryPolicy::Config cfg;
     cfg.retry_limit = 4;
@@ -265,7 +266,7 @@ struct RetriedParityGroup {
   }()};
   std::vector<uint64_t> ids;
 
-  RetriedParityGroup() {
+  explicit RetriedGroup(Redundancy mode = Redundancy::kParity) : rig(mode) {
     rig.dev->set_retry_policy(&policy);
     char buf[kBlock];
     for (int i = 0; i < 3; ++i) {
@@ -285,7 +286,7 @@ struct RetriedParityGroup {
 // A parity small write reads the old data first; one transient fault
 // there is retried exactly as the same fault on a plain read is.
 TEST(RedundancyRetry, ParitySmallWriteRetriesTransientOldDataRead) {
-  RetriedParityGroup grp;
+  RetriedGroup grp;
   const uint64_t id = grp.ids[0];
   char out[kBlock];
   grp.FailNextReadOnce(id);
@@ -305,7 +306,7 @@ TEST(RedundancyRetry, ParitySmallWriteRetriesTransientOldDataRead) {
 // fault on that old-data read must not leave the parity stale, or a
 // later degraded read of a surviving member returns wrong bytes as OK.
 TEST(RedundancyRetry, FreeRetriesTransientOldDataRead) {
-  RetriedParityGroup grp;
+  RetriedGroup grp;
   grp.FailNextReadOnce(grp.ids[0]);
   grp.rig.dev->Free(grp.ids[0]);
   grp.rig.dev->MarkDiskDead(grp.rig.dev->disk_of(grp.ids[1]));
@@ -314,6 +315,33 @@ TEST(RedundancyRetry, FreeRetriesTransientOldDataRead) {
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(out[0], 'b');
   EXPECT_EQ(std::count(out, out + kBlock, 'b'), std::ptrdiff_t(kBlock));
+}
+
+// Parity and mirror copies land on heads other than the block's home;
+// one transient fault there is retried like a data write's, so the
+// write succeeds and the copy carries the new bytes.
+TEST(RedundancyRetry, RedundancyCopyWriteRetriesTransientFault) {
+  for (Redundancy mode : {Redundancy::kParity, Redundancy::kMirror}) {
+    SCOPED_TRACE(mode == Redundancy::kParity ? "parity" : "mirror");
+    RetriedGroup grp(mode);
+    IndependentDiskDevice& dev = *grp.rig.dev;
+    const uint64_t id = grp.ids[0];
+    const size_t home = dev.disk_of(id);
+    // The write touches no other member, so only the copy's head fires.
+    for (size_t d = 0; d < grp.rig.wrappers.size(); ++d) {
+      FaultyBlockDevice* w = grp.rig.wrappers[d];
+      if (d != home) w->SetTransientWriteFault(w->writes_seen() + 1, 1);
+    }
+    char buf[kBlock];
+    std::memset(buf, 'z', kBlock);
+    Status s = dev.WriteUncounted(id, buf);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    dev.MarkDiskDead(home);
+    char out[kBlock];
+    s = dev.ReadUncounted(id, out);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(std::memcmp(out, buf, kBlock), 0);
+  }
 }
 
 // --------------------------------------------- degraded-mode workloads
