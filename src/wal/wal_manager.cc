@@ -143,16 +143,21 @@ Status WalManager::FlushLocked() {
   const uint64_t first_block = flush_base_ / B;
   const size_t nblocks = tail_.size() / B;
   EnsureBlocksLocked(first_block + nblocks);
+  // One vectored write per flush: the tail's log ids are contiguous, so
+  // FileBlockDevice coalesces them into pwritev runs.
+  std::vector<uint64_t> ids(nblocks);
+  std::vector<const void*> bufs(nblocks);
   for (size_t i = 0; i < nblocks; ++i) {
-    WalTestMaybeCrash();
-    const char* buf = tail_.data() + i * B;
-    Status s = use_uncounted_
-                   ? dev_->WriteUncounted(first_block + i, buf)
-                   : dev_->Write(first_block + i, buf);
-    if (!s.ok()) {
-      sticky_ = s;
-      return s;
-    }
+    ids[i] = first_block + i;
+    bufs[i] = tail_.data() + i * B;
+  }
+  WalTestMaybeCrash();
+  Status s = use_uncounted_
+                 ? dev_->WriteBatchUncounted(ids.data(), bufs.data(), nblocks)
+                 : dev_->WriteBatch(ids.data(), bufs.data(), nblocks);
+  if (!s.ok()) {
+    sticky_ = s;
+    return s;
   }
   if (use_uncounted_) pending_charge_ += nblocks;
   flush_base_ += tail_.size();

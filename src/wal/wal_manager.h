@@ -3,14 +3,15 @@
 // One WalManager owns the tail of one log (format: wal_format.h). Appends
 // are cheap — they serialize a record into an in-memory tail buffer under
 // a mutex and return its end-LSN. Durability happens at Commit()/SyncTo():
-// the tail is padded to a block boundary, written to the log device, and
-// fsynced. Concurrent committers share that fsync by a leader/follower
-// protocol — the first thread to need durability becomes the leader,
-// optionally sleeps the group-commit window so stragglers can join the
-// batch, then pays ONE device Sync() that covers every record appended
-// before its flush snapshot; followers just wait on the condition
-// variable until durable_lsn() passes their target. N concurrent commits
-// therefore cost between 1 and N fsyncs, never more.
+// the tail is padded to a block boundary, written to the log device with
+// one vectored write per flush, and fsynced. Concurrent committers share
+// that fsync by a leader/follower protocol — the first thread to need
+// durability becomes the leader, optionally sleeps the group-commit
+// window so stragglers can join the batch, then pays ONE device Sync()
+// that covers every record appended before its flush snapshot; followers
+// just wait on the condition variable until durable_lsn() passes their
+// target. N concurrent commits therefore cost between 1 and N fsyncs,
+// never more.
 //
 // Accounting: the log's physical block writes ride the device's
 // uncounted plane while the tail flushes, and are charged to the log
@@ -55,9 +56,9 @@ class WalClock {
 WalClock* DefaultWalClock();
 
 /// Test seam: crash-point hook, invoked at every instrumented point of
-/// the durability path (each log-block write, before and after the log
-/// fsync, and each data-block apply in DurableBlockDevice::Commit). The
-/// kill-point harness installs a hook that counts invocations and
+/// the durability path (each log flush's vectored write, before and after
+/// the log fsync, and each data-block apply in DurableBlockDevice::Commit).
+/// The kill-point harness installs a hook that counts invocations and
 /// raise(SIGKILL)s at a chosen one; production leaves it null (one
 /// relaxed atomic load per point). Process-global.
 void SetWalTestCrashHook(void (*hook)());
@@ -138,7 +139,8 @@ class WalManager {
   /// Serialize under mu_; returns the record's end-LSN.
   uint64_t AppendLocked(wal::RecordType type, uint64_t txn, uint64_t block_id,
                         const void* payload, size_t payload_size);
-  /// Pad + write the tail under mu_ (no fsync).
+  /// Pad the tail and write it with one vectored write, under mu_ (no
+  /// fsync).
   Status FlushLocked();
   /// Leader/follower force of the log through `target`.
   Status ForceTo(uint64_t target);
